@@ -140,7 +140,8 @@ def _cmd_validate(args):
     xs = np.linspace(g.x_min_m, g.x_max_m, 21)
     ys = np.linspace(g.y_min_m, g.y_max_m, 21)
     r_star = np.array([cfg.anomalies[0].center_x_m, cfg.anomalies[0].center_y_m])
-    points = np.array([(x, y) for x in xs for y in ys])
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    points = np.stack([gx.ravel(), gy.ravel()], axis=1)
     trunc = SeriesTruncation(max_order=64, abs_tol=1e-10)
     deviation = structure.validate_diag_identity(points, array, k_real, r_star, trunc)
 
@@ -151,10 +152,9 @@ def _cmd_validate(args):
     response = structure.migration_response(ideal, array, k_real, points)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", structure.ValidityMarginWarning)
-        series = np.array([
-            structure.structure_diag(p, array, k_real, r_star, structure.StructureConfig(trunc))
-            for p in points
-        ])
+        series = structure.structure_diag(
+            points, array, k_real, r_star, structure.StructureConfig(trunc)
+        )
     keep = series > 1e-9
     ratios = response[keep] / series[keep]
     ratio_spread = float(ratios.max() - ratios.min())

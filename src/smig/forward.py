@@ -176,7 +176,7 @@ def exact_disc_smatrix(array, anomaly, medium, trunc=None, denominator=DENOM_SIG
         j_out = _j_sequence(k * rho, n_try + 1)
         j_in = _j_sequence(k_in * rho, n_try + 1)
         h_out = hankel1_sequence(k * rho, n_try + 1)
-        h_ant = np.stack([hankel1_sequence(k * bn, n_try) for bn in b], axis=0)
+        h_ant = hankel1_sequence(k * b, n_try)
 
         acc = np.zeros((n_ant, n_ant), dtype=complex)
         tail = math.inf
@@ -188,7 +188,7 @@ def exact_disc_smatrix(array, anomaly, medium, trunc=None, denominator=DENOM_SIG
             num = k_in * jp_in * j_out[s] - k * j_in[s] * jp_out
             den = k * j_in[s] * hp_out - k_in * jp_in * h_out[s]
             coeff = num / den
-            hh = np.outer(h_ant[:, s], h_ant[:, s])
+            hh = np.outer(h_ant[s], h_ant[s])
             if s == 0:
                 term = coeff * hh
             else:
@@ -301,10 +301,8 @@ def incident_coupling_smatrix(array, medium):
     """
     k = em.wavenumber(medium).k
     n = array.count
+    m, j = np.triu_indices(n, 1)
+    dist = np.hypot(*(array.positions[m] - array.positions[j]).T)
     out = np.zeros((n, n), dtype=complex)
-    for m in range(n):
-        for j in range(m + 1, n):
-            val = em.incident_field(array.positions[m], array.positions[j], em.ComplexWavenumber(k))
-            out[m, j] = val
-            out[j, m] = val
+    out[m, j] = out[j, m] = -0.25j * hankel1_0(k * dist)
     return ScatteringMatrix(out, KIND_FULL, "incident_coupling", medium.frequency_hz)

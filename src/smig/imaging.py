@@ -6,6 +6,7 @@ dominant singular pairs picked by a rank policy, the diagonal-free map is
 hardwired to the first pair of a zero-diagonal matrix.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,13 +46,18 @@ class ImagingGrid:
         if self.x_min >= self.x_max or self.y_min >= self.y_max:
             raise ConfigError("grid bounds must satisfy min < max")
 
+    def _axis(self, lo, hi):
+        # floor: a span that is not a whole number of steps stops short of
+        # hi, not past it; the epsilon keeps whole spans such as 0.2 / 0.001
+        # at full length, and the clip keeps their last point off hi + 1 ulp.
+        n = math.floor((hi - lo) / self.step + 1e-9) + 1
+        return np.minimum(lo + self.step * np.arange(n), hi)
+
     def x_axis(self):
-        n = int(round((self.x_max - self.x_min) / self.step)) + 1
-        return self.x_min + self.step * np.arange(n)
+        return self._axis(self.x_min, self.x_max)
 
     def y_axis(self):
-        n = int(round((self.y_max - self.y_min) / self.step)) + 1
-        return self.y_min + self.step * np.arange(n)
+        return self._axis(self.y_min, self.y_max)
 
     @property
     def shape(self):

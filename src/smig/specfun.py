@@ -6,17 +6,19 @@ the accuracy contracts are deliberately tight: relative error <= 1e-10 for
 real arguments with |z| <= 25 and <= 1e-8 for complex arguments with
 |z| <= 25, |Im z| <= 5.
 
-Algorithm layout:
-  * |z| <= 6, single order: ascending power series (loses ~|z|/2.3 digits
-    to cancellation, negligible this far in).
+Algorithm layout (one path for scalars and arrays; a scalar is evaluated
+as a 1-element batch and unwrapped):
   * |z| <= 25: downward (Miller) recurrence for a whole batch of orders,
     normalized with J0 + 2*sum J_{2m} = 1; Y0/Y1 from the logarithmic
     Neumann series over the same batch, so no fresh cancellation enters.
   * |z| > 25: Hankel asymptotic expansions (14 terms; min term < 1e-14
-    at the switchover).
+    at the switchover) for orders 0 and 1.  H^(1) is taken from its own
+    expansion; J and Y are the half-sum and half-difference of H^(1) and
+    H^(2), which do not cancel.  Higher J orders stay on the Miller batch.
+  * The truncated Jacobi-Anger sum J_0(x) + 2 sum i^s J_s(x) cos(s theta)
+    is evaluated for a batch of points and angles from one Miller batch.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +31,6 @@ MAX_ORDER = 512
 MAX_ARGUMENT = 1.0e4
 
 _SERIES_CUTOFF = 25.0
-_ASCENDING_CUTOFF = 6.0
 # Miller normalizer and Neumann tail both need orders ~|z| past the last
 # oscillation; +40 keeps the dropped tail below 1e-18 at |z| = 25.
 _ORDER_PAD = 40
@@ -52,36 +53,6 @@ class SeriesTruncation:
             raise DomainError("SeriesTruncation.max_order must be >= 1, got %r" % (self.max_order,))
         if not self.abs_tol > 0:
             raise DomainError("SeriesTruncation.abs_tol must be > 0, got %r" % (self.abs_tol,))
-
-
-def _check_argument(z):
-    if abs(z) > MAX_ARGUMENT:
-        raise DomainError("|z| = %g exceeds the supported limit %g" % (abs(z), MAX_ARGUMENT))
-
-
-def _j_ascending(s, z):
-    """Ascending power series for J_s(z), s >= 0.  Use only for small |z|."""
-    if z == 0:
-        return 1.0 + 0.0j if s == 0 else 0.0 + 0.0j
-    if s == 0:
-        term = 1.0 + 0.0j
-    else:
-        # Leading coefficient through logs so huge orders underflow
-        # gracefully instead of overflowing factorial arithmetic; z/2 can
-        # itself underflow for subnormal z, where the term is a true zero.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lead = s * np.log(complex(z) / 2.0) - math.lgamma(s + 1)
-        if not lead.real > -745.0:
-            return 0.0 + 0.0j
-        term = complex(np.exp(lead))
-    q = -(z * z) / 4.0
-    acc = term
-    for m in range(1, 80):
-        term *= q / (m * (m + s))
-        acc += term
-        if abs(term) < 1e-18 * max(1.0, abs(acc)):
-            break
-    return acc
 
 
 def _j_sequence(z, s_max):
@@ -120,16 +91,16 @@ def _j_sequence(z, s_max):
             jp = jp * f
             norm = norm * f
             out = out * f
-    seq = out / (jc + norm)
+    out /= jc + norm
     if tiny.any():
         zt = z[tiny]
         q = zt * zt / 4.0
         base = np.ones_like(zt)
-        seq[0, tiny] = 1.0 - q
+        out[0, tiny] = 1.0 - q
         for s in range(1, s_max + 1):
             base = base * (zt / 2.0) / s
-            seq[s, tiny] = base * (1.0 - q / (s + 1))
-    return seq[:, 0] if scalar else seq
+            out[s, tiny] = base * (1.0 - q / (s + 1))
+    return out[:, 0] if scalar else out
 
 
 def _y01_from_sequence(z, seq):
@@ -175,6 +146,48 @@ def _jy01_asymptotic(z):
     return (h1 + h2) / 2.0, (g1 + g2) / 2.0, (h1 - h2) / 2j, (g1 - g2) / 2j
 
 
+def _as_batch(z):
+    """z as a complex array of at least one dimension, plus whether it was a scalar."""
+    arr = np.asarray(z, dtype=complex)
+    if arr.size and np.abs(arr).max() > MAX_ARGUMENT:
+        raise DomainError("argument magnitude exceeds the supported limit %g" % MAX_ARGUMENT)
+    return np.atleast_1d(arr), arr.ndim == 0
+
+
+def _check_nonzero(arr, name):
+    if np.any(arr == 0):
+        raise SingularityError("%s is singular at z = 0" % name)
+
+
+def _split(z, near, far):
+    """near(z[mask]) where |z| <= 25 and far(z[~mask]) above, merged into z's shape.
+
+    Both callables take the selected entries (1-D) and return an array
+    whose last axis runs over them; the leading axes carry over.
+    """
+    mask = np.abs(z) <= _SERIES_CUTOFF
+    parts = [(m, fn(z[m])) for m, fn in ((mask, near), (~mask, far)) if m.any()]
+    out = np.empty(parts[0][1].shape[:-1] + z.shape, dtype=complex)
+    for m, values in parts:
+        out[..., m] = values
+    return out
+
+
+def _near_batch(z, s_max):
+    """Miller batch for |z| <= 25 through order max(s_max, ceil|z| + 42).
+
+    Long enough for the Neumann series, so J and Y of the same argument
+    come from one batch whichever function asks.
+    """
+    return _j_sequence(z, max(s_max, int(np.ceil(np.abs(z).max())) + _ORDER_PAD + 2))
+
+
+def _hankel01_near(z):
+    """H_0^(1)(z), H_1^(1)(z) = J + iY from one Miller batch, |z| <= 25, z nonzero."""
+    seq = _near_batch(z, 1)
+    return seq[:2] + 1j * np.stack(_y01_from_sequence(z, seq))
+
+
 def bessel_j(s, z):
     """J_s(z) for integer order s, |s| <= 512, |z| <= 1e4.
 
@@ -182,36 +195,18 @@ def bessel_j(s, z):
     scalar or an ndarray argument.
     """
     s = int(s)
-    if abs(s) > MAX_ORDER:
-        raise DomainError("order |s| = %d exceeds the supported limit %d" % (abs(s), MAX_ORDER))
-    if s < 0:
-        val = bessel_j(-s, z)
-        return -val if s % 2 else val
-
-    arr = np.asarray(z, dtype=complex)
-    if arr.ndim == 0:
-        zc = complex(arr)
-        _check_argument(zc)
-        if abs(zc) <= _ASCENDING_CUTOFF:
-            return _j_ascending(s, zc)
-        if abs(zc) <= _SERIES_CUTOFF or s >= 2:
-            return complex(_j_sequence(zc, s)[s])
-        j0, j1, _, _ = _jy01_asymptotic(np.asarray(zc))
-        return complex(j0) if s == 0 else complex(j1)
-
-    if np.abs(arr).max() > MAX_ARGUMENT:
-        raise DomainError("argument magnitude exceeds the supported limit %g" % MAX_ARGUMENT)
-    small = np.abs(arr) <= _SERIES_CUTOFF
-    out = np.empty(arr.shape, dtype=complex)
-    if small.any():
-        out[small] = _j_sequence(arr[small], s)[s]
-    if (~small).any():
-        if s >= 2:
-            out[~small] = _j_sequence(arr[~small], s)[s]
-        else:
-            j0, j1, _, _ = _jy01_asymptotic(arr[~small])
-            out[~small] = j0 if s == 0 else j1
-    return out
+    n = abs(s)
+    if n > MAX_ORDER:
+        raise DomainError("order |s| = %d exceeds the supported limit %d" % (n, MAX_ORDER))
+    arr, scalar = _as_batch(z)
+    val = _split(
+        arr,
+        lambda zn: _near_batch(zn, n)[n],
+        lambda zf: _j_sequence(zf, n)[n] if n >= 2 else _jy01_asymptotic(zf)[n],
+    )
+    if s < 0 and s % 2:
+        val = -val
+    return complex(val[0]) if scalar else val
 
 
 def bessel_y(s, z):
@@ -219,80 +214,66 @@ def bessel_y(s, z):
     s = int(s)
     if s not in (0, 1):
         raise DomainError("bessel_y supports orders {0, 1}, got %d" % s)
-    arr = np.asarray(z, dtype=complex)
-    if np.any(arr == 0):
-        raise SingularityError("Y_%d is singular at z = 0" % s)
-    if np.abs(arr).max() > MAX_ARGUMENT:
-        raise DomainError("argument magnitude exceeds the supported limit %g" % MAX_ARGUMENT)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    out = np.empty(arr.shape, dtype=complex)
-    small = np.abs(arr) <= _SERIES_CUTOFF
-    if small.any():
-        zs = arr[small]
-        n_seq = int(np.ceil(np.abs(zs).max())) + _ORDER_PAD + 2
-        seq = _j_sequence(zs, n_seq)
-        y0, y1 = _y01_from_sequence(zs, seq)
-        out[small] = y0 if s == 0 else y1
-    if (~small).any():
-        _, _, y0, y1 = _jy01_asymptotic(arr[~small])
-        out[~small] = y0 if s == 0 else y1
-    return complex(out[0]) if scalar else out
+    arr, scalar = _as_batch(z)
+    _check_nonzero(arr, "Y_%d" % s)
+    val = _split(
+        arr,
+        lambda zn: _y01_from_sequence(zn, _near_batch(zn, 1))[s],
+        lambda zf: _jy01_asymptotic(zf)[2 + s],
+    )
+    return complex(val[0]) if scalar else val
 
 
 def hankel1_0(z):
     """H_0^(1)(z) = J_0(z) + i Y_0(z); z must be nonzero.
 
-    Scalar calls are the literal composition of bessel_j and bessel_y;
-    array calls share one J batch between the two parts.
+    For |z| <= 25 both parts come from one Miller batch, so a value is
+    bit-identical to bessel_j(0, z) + 1j * bessel_y(0, z).  Above 25 the
+    H^(1) expansion is used directly: J + iY would cancel for Im z > 0.
     """
-    arr = np.asarray(z, dtype=complex)
-    if np.any(arr == 0):
-        raise SingularityError("H_0^(1) is singular at z = 0")
-    if np.abs(arr).max() > MAX_ARGUMENT:
-        raise DomainError("argument magnitude exceeds the supported limit %g" % MAX_ARGUMENT)
-    if arr.ndim == 0:
-        zc = complex(arr)
-        return bessel_j(0, zc) + 1j * bessel_y(0, zc)
-    out = np.empty(arr.shape, dtype=complex)
-    small = np.abs(arr) <= _SERIES_CUTOFF
-    if small.any():
-        zs = arr[small]
-        n_seq = int(np.ceil(np.abs(zs).max())) + _ORDER_PAD + 2
-        seq = _j_sequence(zs, n_seq)
-        y0, _ = _y01_from_sequence(zs, seq)
-        out[small] = seq[0] + 1j * y0
-    if (~small).any():
-        out[~small] = _hankel_asymptotic(arr[~small], 0, +1)
-    return out
+    arr, scalar = _as_batch(z)
+    _check_nonzero(arr, "H_0^(1)")
+    val = _split(
+        arr, lambda zn: _hankel01_near(zn)[0], lambda zf: _hankel_asymptotic(zf, 0, +1)
+    )
+    return complex(val[0]) if scalar else val
 
 
 def hankel1_sequence(z, s_max):
     """H_0^(1)(z)..H_{s_max}^(1)(z) by upward recurrence from H_0, H_1.
 
-    Upward recurrence is stable for the Hankel function because the Y
-    part dominates and grows with the order.
+    Returns shape (s_max+1,) + z.shape.  Upward recurrence is stable for
+    the Hankel function because the Y part dominates and grows with the
+    order.
     """
-    zc = complex(z)
-    if zc == 0:
-        raise SingularityError("H_s^(1) is singular at z = 0")
-    _check_argument(zc)
-    if abs(zc) <= _SERIES_CUTOFF:
-        n_seq = int(np.ceil(abs(zc))) + _ORDER_PAD + 2
-        seq = _j_sequence(zc, n_seq)
-        y0, y1 = _y01_from_sequence(np.asarray(zc), seq)
-        h0 = complex(seq[0] + 1j * y0)
-        h1 = complex(seq[1] + 1j * y1)
-    else:
-        h0 = complex(_hankel_asymptotic(np.asarray(zc), 0, +1))
-        h1 = complex(_hankel_asymptotic(np.asarray(zc), 1, +1))
-    out = np.empty(s_max + 1, dtype=complex)
-    out[0] = h0
-    if s_max >= 1:
-        out[1] = h1
+    arr, scalar = _as_batch(z)
+    _check_nonzero(arr, "H_s^(1)")
+    out = np.empty((max(s_max, 1) + 1,) + arr.shape, dtype=complex)
+    out[:2] = _split(
+        arr,
+        _hankel01_near,
+        lambda zf: np.stack([_hankel_asymptotic(zf, 0, +1), _hankel_asymptotic(zf, 1, +1)]),
+    )
     for s in range(1, s_max):
-        out[s + 1] = (2.0 * s / zc) * out[s] - out[s - 1]
-    return out
+        out[s + 1] = (2.0 * s / arr) * out[s] - out[s - 1]
+    return out[: s_max + 1, 0] if scalar else out[: s_max + 1]
+
+
+def _jacobi_anger_terms(x, theta, s_max):
+    """J_0(x) and the harmonic sum 2 sum_{s=1}^{s_max} i^s J_s(x) cos(s theta).
+
+    x is an array of nonnegative reals; theta has shape x.shape + (A,),
+    one angle per point and antenna.  Returns (J_0(x), harmonics) with
+    harmonics shaped like theta.  One J batch serves every point; the sum
+    runs order by order, so no points x antennas x orders array is built.
+    """
+    x = np.asarray(x, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    seq = _j_sequence(x, s_max)
+    harmonics = np.zeros(theta.shape, dtype=complex)
+    for s in range(1, s_max + 1):
+        harmonics += ((1, 1j, -1, -1j)[s % 4] * 2.0 * seq[s])[..., None] * np.cos(s * theta)
+    return seq[0], harmonics
 
 
 def jacobi_anger_partial(x, theta, trunc=SeriesTruncation()):
@@ -303,10 +284,7 @@ def jacobi_anger_partial(x, theta, trunc=SeriesTruncation()):
     negative-order terms pair up exactly.
     """
     x = float(x)
-    if x < 0:
-        raise DomainError("jacobi_anger_partial expects x >= 0, got %g" % x)
-    _check_argument(x)
-    seq = _j_sequence(x, trunc.max_order)
-    s = np.arange(1, trunc.max_order + 1)
-    acc = seq[0] + 2.0 * np.sum((1j ** s) * seq[1:] * np.cos(s * float(theta)))
-    return complex(acc)
+    if not 0 <= x <= MAX_ARGUMENT:
+        raise DomainError("jacobi_anger_partial expects 0 <= x <= %g, got %g" % (MAX_ARGUMENT, x))
+    j0, harmonics = _jacobi_anger_terms(x, [float(theta)], trunc.max_order)
+    return complex(j0 + harmonics[0])

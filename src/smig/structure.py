@@ -11,6 +11,11 @@ where Psi1_avg averages the two-sided harmonic series over the antennas.
 The harness cross-checks the series against brute-force double sums of
 plane-wave phases, which are the independent oracle: they involve nothing
 but complex exponentials.
+
+Points are numpy arrays of shape (2,) for one point (x, y) in metres or
+(P, 2) for a batch of P points; the series functions return a float for
+one point and an array of shape (P,) for a batch, evaluated with one
+shared Bessel batch.
 """
 
 import math
@@ -21,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .forward import KIND_FULL, KIND_ZERO_DIAGONAL, ScatteringMatrix
-from .specfun import SeriesTruncation, _j_sequence
+from .specfun import SeriesTruncation, _jacobi_anger_terms
 
 
 class ValidityMarginWarning(UserWarning):
@@ -41,46 +46,45 @@ class StructureConfig:
                                self.use_lossless_k)
 
 
+def _harmonic_terms(k_real, angles, r, r_center, trunc):
+    """J_0(x) and 2 sum_{s=1}^{S} i^s J_s(x) cos(s(theta - phi)) for each angle theta.
+
+    x = k|r - rc| and phi is the polar angle of r - rc.  r is one point
+    (2,) or a batch (P, 2); the J_0 part has shape () or (P,) and the
+    harmonics carry one more axis over the angles.
+    """
+    delta = np.asarray(r, float) - np.asarray(r_center, float)
+    phi = np.arctan2(delta[..., 1], delta[..., 0])
+    return _jacobi_anger_terms(
+        k_real * np.hypot(delta[..., 0], delta[..., 1]),
+        np.asarray(angles, float) - phi[..., None],
+        trunc.max_order,
+    )
+
+
+def _ring_average(k_real, array, r, r_center, trunc):
+    """J_0(k|r-rc|) + Psi1_avg: the antenna average of the truncated plane-wave sum.
+
+    r is one point (2,) or a batch (P, 2); the result has shape () or (P,).
+    """
+    j0, harmonics = _harmonic_terms(k_real, array.angles, r, r_center, trunc)
+    return j0 + harmonics.mean(axis=-1)
+
+
 def psi1(k_real, theta_n, r, r_center, trunc=SeriesTruncation()):
     """Two-sided harmonic series sum_{0<|s|<=S} i^s J_s(k|r-rc|) e^{is(theta_n - phi)}.
 
     phi is the polar angle of r - r_center; the value is 0 when r equals
     r_center because every J_s vanishes there.
     """
-    delta = np.asarray(r, float) - np.asarray(r_center, float)
-    dist = float(np.hypot(delta[0], delta[1]))
-    if dist == 0.0:
-        return 0.0 + 0.0j
-    phi = math.atan2(delta[1], delta[0])
-    seq = _j_sequence(k_real * dist, trunc.max_order)
-    s = np.arange(1, trunc.max_order + 1)
-    return complex(2.0 * np.sum((1j ** s) * seq[1:] * np.cos(s * (theta_n - phi))))
-
-
-def _psi1_avg(k_real, array, r, r_center, trunc):
-    """(1/N) sum_n Psi1(k, n), evaluated with one shared J batch."""
-    delta = np.asarray(r, float) - np.asarray(r_center, float)
-    dist = float(np.hypot(delta[0], delta[1]))
-    if dist == 0.0:
-        return 0.0 + 0.0j
-    phi = math.atan2(delta[1], delta[0])
-    seq = _j_sequence(k_real * dist, trunc.max_order)
-    s = np.arange(1, trunc.max_order + 1)
-    cos_avg = np.mean(np.cos(np.outer(array.angles - phi, s)), axis=0)
-    return complex(2.0 * np.sum((1j ** s) * seq[1:] * cos_avg))
-
-
-def _j0(k_real, r, r_center, trunc):
-    delta = np.asarray(r, float) - np.asarray(r_center, float)
-    dist = float(np.hypot(delta[0], delta[1]))
-    return complex(_j_sequence(k_real * dist, 1)[0]) if dist > 0 else 1.0 + 0.0j
+    return complex(_harmonic_terms(k_real, [theta_n], r, r_center, trunc)[1][0])
 
 
 def _check_margin(r, array, k_real, r_star):
     margin = 10.0 * 0.25 / k_real
     pts = array.positions
-    d_r = np.hypot(pts[:, 0] - r[0], pts[:, 1] - r[1]).min()
-    d_s = np.hypot(pts[:, 0] - r_star[0], pts[:, 1] - r_star[1]).min()
+    d_r = np.hypot(*(r[..., None, :] - pts).T).min(initial=np.inf)
+    d_s = np.hypot(*(r_star - pts).T).min()
     if min(d_r, d_s) < margin:
         warnings.warn(
             "point within %.4g m of an antenna; far-field structure may degrade" % margin,
@@ -89,27 +93,38 @@ def _check_margin(r, array, k_real, r_star):
         )
 
 
+def _unwrap(values):
+    return float(values) if values.ndim == 0 else values
+
+
 def structure_full(r, array, k_real, r_star, config=StructureConfig()):
-    """Closed-form value of the full-matrix map, artifact terms included."""
+    """Closed-form value of the full-matrix map, artifact terms included.
+
+    r is one point (2,), giving a float, or a batch (P, 2), giving (P,).
+    """
+    r = np.asarray(r, float)
     r_star = np.asarray(r_star, float)
-    _check_margin(np.asarray(r, float), array, k_real, r_star)
-    acc = _j0(k_real, r, r_star, config.trunc) + _psi1_avg(k_real, array, r, r_star, config.trunc)
+    _check_margin(r, array, k_real, r_star)
+    acc = _ring_average(k_real, array, r, r_star, config.trunc)
     for rm in config.artifact_locations:
         if np.hypot(*(np.asarray(rm, float) - r_star)) == 0.0:
             raise ConfigError("artifact locations must differ from the anomaly center")
-        acc += _j0(k_real, r, rm, config.trunc) + _psi1_avg(k_real, array, r, rm, config.trunc)
-    return float(abs(acc * acc))
+        acc = acc + _ring_average(k_real, array, r, rm, config.trunc)
+    return _unwrap(np.abs(acc * acc))
 
 
 def structure_diag(r, array, k_real, r_star, config=StructureConfig()):
-    """Closed-form value of the diagonal-free map."""
-    _check_margin(np.asarray(r, float), array, k_real, np.asarray(r_star, float))
+    """Closed-form value of the diagonal-free map.
+
+    r is one point (2,), giving a float, or a batch (P, 2), giving (P,).
+    """
+    r = np.asarray(r, float)
+    r_star = np.asarray(r_star, float)
+    _check_margin(r, array, k_real, r_star)
     n = array.count
-    g = _j0(k_real, r, r_star, config.trunc) + _psi1_avg(k_real, array, r, r_star, config.trunc)
-    h = _j0(2.0 * k_real, r, r_star, config.trunc) + _psi1_avg(
-        2.0 * k_real, array, r, r_star, config.trunc
-    )
-    return float(n / (n - 1) * abs(g * g - h / n))
+    g = _ring_average(k_real, array, r, r_star, config.trunc)
+    h = _ring_average(2.0 * k_real, array, r, r_star, config.trunc)
+    return _unwrap(n / (n - 1) * np.abs(g * g - h / n))
 
 
 def plane_wave_test_vector(r, array, k_real):
@@ -160,17 +175,13 @@ def validate_diag_identity(points, array, k_real, r_star, trunc=SeriesTruncation
     series value; the maximum absolute difference over the points comes
     back.
     """
+    points = np.asarray(points, dtype=float).reshape(-1, 2)
     r_star = np.asarray(r_star, dtype=float)
-    config = StructureConfig(trunc=trunc)
     n = array.count
-    worst = 0.0
-    for r in np.asarray(points, dtype=float):
-        phases = array.directions @ (r - r_star)
-        e = np.exp(1j * k_real * phases)
-        total = np.sum(e) ** 2 - np.sum(e * e)
-        direct = abs(total / n) / (n - 1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ValidityMarginWarning)
-            series = structure_diag(r, array, k_real, r_star, config)
-        worst = max(worst, abs(direct - series))
-    return worst
+    e = np.exp(1j * k_real * ((points - r_star) @ array.directions.T))
+    total = np.sum(e, axis=1) ** 2 - np.sum(e * e, axis=1)
+    direct = np.abs(total / n) / (n - 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ValidityMarginWarning)
+        series = structure_diag(points, array, k_real, r_star, StructureConfig(trunc=trunc))
+    return float(np.max(np.abs(direct - series), initial=0.0))

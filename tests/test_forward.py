@@ -260,3 +260,15 @@ def test_zero_diagonal_kind_enforced():
     entries = np.ones((3, 3), dtype=complex)
     with pytest.raises(KindError):
         forward.ScatteringMatrix(entries, forward.KIND_ZERO_DIAGONAL, "file", 1.0)
+
+
+def test_incident_coupling_matches_pairwise_fields(paper_array, paper_medium):
+    s = forward.incident_coupling_smatrix(paper_array, paper_medium).entries
+    k = em.wavenumber(paper_medium)
+    n = paper_array.count
+    for m in range(n):
+        for j in range(m + 1, n):
+            ref = em.incident_field(paper_array.positions[m], paper_array.positions[j], k)
+            assert abs(s[m, j] - ref) <= 1e-13 * abs(ref)
+    assert np.array_equal(s, s.T)
+    assert np.all(np.diag(s) == 0)

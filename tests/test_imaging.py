@@ -213,6 +213,29 @@ def test_scaling_invariance(born_fixture, paper_array, paper_k, mag, phase):
     assert np.abs(a.values - b.values).max() <= 1e-10
 
 
+def test_axis_does_not_overshoot_bound(default_grid):
+    assert default_grid.shape == (201, 201)
+    xs = ImagingGrid(-0.1, 0.1, -0.1, 0.1, 0.003).x_axis()
+    assert xs[-1] <= 0.1
+    assert xs.size == 67
+
+
+@settings(max_examples=200)
+@given(
+    lo=st.floats(min_value=-1.0, max_value=1.0),
+    span=st.floats(min_value=1e-3, max_value=1.0),
+    steps=st.floats(min_value=1.0, max_value=300.0),
+)
+def test_axes_stay_inside_bounds(lo, span, steps):
+    hi = lo + span
+    step = span / steps
+    grid = ImagingGrid(lo, hi, lo - 1.0, hi - 1.0, step)
+    for axis, a_min, a_max in ((grid.x_axis(), lo, hi), (grid.y_axis(), lo - 1.0, hi - 1.0)):
+        assert axis[0] == a_min
+        assert np.all((axis >= a_min) & (axis <= a_max))
+        assert a_max - axis[-1] < step
+
+
 def test_argmax_constant_map_tie_break(coarse_grid):
     image = imaging.ImageMap(coarse_grid, np.ones(coarse_grid.shape), 1, 1e9, "full")
     loc, value = imaging.argmax(image)

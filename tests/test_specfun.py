@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -178,3 +179,34 @@ def test_array_argument_path():
     got = bessel_j(0, z)
     for zi, gi in zip(z, got):
         assert abs(gi - bessel_j(0, float(zi))) <= 1e-13
+
+
+@pytest.mark.parametrize("s, z", [(8, 0.05), (20, 1.0), (30, 5.0), (5, complex(2.5, -3.1))])
+def test_scalar_matches_mpmath_and_array(s, z):
+    # High orders at small |z|: J_s is tiny, so only a relative stopping rule keeps full precision.
+    with mpmath.workdps(30):
+        ref = complex(mpmath.besselj(s, mpmath.mpmathify(z)))
+    got = bessel_j(s, z)
+    assert abs(got - ref) <= 1e-10 * abs(ref)
+    assert got == bessel_j(s, np.array([z]))[0]
+
+
+def test_hankel_sequence_array_matches_scalar_calls():
+    z = np.array([0.7, 3.0 + 0.4j, 24.0, 31.0])
+    got = specfun.hankel1_sequence(z, 12)
+    assert got.shape == (13, 4)
+    for i, zi in enumerate(z):
+        ref = specfun.hankel1_sequence(zi, 12)
+        assert np.abs(got[:, i] - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("z", [complex(188.0, 16.8), complex(60.0, 15.0), complex(30.0, -2.0)])
+def test_large_lossy_hankel_matches_mpmath(z):
+    # Above |z| = 25 with Im z > 0, J + iY cancels; H^(1) must come from its own expansion.
+    with mpmath.workdps(30):
+        ref = np.array([complex(mpmath.hankel1(s, mpmath.mpmathify(z))) for s in range(6)])
+    rel = 1e-12 * np.abs(ref)
+    assert abs(hankel1_0(z) - ref[0]) <= rel[0]
+    assert abs(hankel1_0(np.array([z, 2.0]))[0] - ref[0]) <= rel[0]
+    assert np.all(np.abs(specfun.hankel1_sequence(z, 5) - ref) <= rel)
+    assert np.all(np.abs(specfun.hankel1_sequence(np.array([[z]]), 5)[:, 0, 0] - ref) <= rel)

@@ -52,9 +52,7 @@ def test_structure_full_reduction_no_artifacts(paper_array, k_real):
     r = (0.028, 0.004)
     r_star = (0.01, 0.03)
     got = structure.structure_full(r, paper_array, k_real, r_star)
-    g = structure._j0(k_real, r, r_star, SeriesTruncation()) + structure._psi1_avg(
-        k_real, paper_array, r, r_star, SeriesTruncation()
-    )
+    g = structure._ring_average(k_real, paper_array, r, r_star, SeriesTruncation())
     assert abs(got - abs(g * g)) <= 1e-14
 
 
@@ -162,9 +160,7 @@ def test_double_sum_identity(paper_array, k_real, dx, dy):
     e = np.exp(1j * k_real * (paper_array.directions @ delta))
     lhs = np.sum(e) ** 2 / n
     trunc = SeriesTruncation(64, 1e-12)
-    g = structure._j0(k_real, delta, (0.0, 0.0), trunc) + structure._psi1_avg(
-        k_real, paper_array, delta, (0.0, 0.0), trunc
-    )
+    g = structure._ring_average(k_real, paper_array, delta, (0.0, 0.0), trunc)
     assert abs(lhs - n * g * g) <= 1e-8
 
 
@@ -179,9 +175,7 @@ def test_diagonal_sum_identity(paper_array, k_real, dx, dy):
     e = np.exp(2j * k_real * (paper_array.directions @ delta))
     lhs = np.mean(e)
     trunc = SeriesTruncation(64, 1e-12)
-    rhs = structure._j0(2 * k_real, delta, (0.0, 0.0), trunc) + structure._psi1_avg(
-        2 * k_real, paper_array, delta, (0.0, 0.0), trunc
-    )
+    rhs = structure._ring_average(2 * k_real, paper_array, delta, (0.0, 0.0), trunc)
     assert abs(lhs - rhs) <= 1e-8
 
 
@@ -249,3 +243,14 @@ def test_validity_margin_warning(paper_array, k_real, r_star):
     near_antenna = paper_array.positions[0] + np.array([0.003, 0.0])
     with pytest.warns(ValidityMarginWarning):
         structure.structure_diag(near_antenna, paper_array, k_real, r_star)
+
+
+@pytest.mark.filterwarnings("ignore::smig.structure.ValidityMarginWarning")
+def test_batch_points_match_single_points(paper_array, k_real, r_star):
+    pts = np.array([(x, y) for x in np.linspace(-0.08, 0.08, 5) for y in (-0.05, 0.0, 0.07)])
+    cfg = StructureConfig().with_artifacts([(-0.04, -0.05)])
+    for fn in (structure.structure_diag, structure.structure_full):
+        batch = fn(pts, paper_array, k_real, r_star, cfg)
+        assert batch.shape == (len(pts),)
+        single = np.array([fn(p, paper_array, k_real, r_star, cfg) for p in pts])
+        assert np.abs(batch - single).max() <= 1e-14
