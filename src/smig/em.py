@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, SingularityError
-from .specfun import hankel1_0
+from .specfun import hankel1_0, hankel1_0_distances
 
 VACUUM_PERMITTIVITY = 8.8541878128e-12  # F/m
 VACUUM_PERMEABILITY = 4e-7 * math.pi  # H/m
@@ -110,12 +110,28 @@ def wavelength(k):
     return 2.0 * math.pi / k.k.real
 
 
+# A point closer to an antenna than this fraction of the array scale counts
+# as on it.  Antenna coordinates R cos(angle), R sin(angle) round to ~1e-16 R
+# (cos(3 pi / 2) = -1.8e-16), so an antenna that lies on a grid point in exact
+# arithmetic misses it by ~1e-17 m; 1e-9 R is far above that rounding and far
+# below any grid step or anomaly size the model resolves.
+COINCIDENCE_RTOL = 1e-9
+
+
+def _coincident(dist, scale):
+    """Distances that count as zero at the given array scale."""
+    return dist <= COINCIDENCE_RTOL * scale
+
+
 def incident_field(d, r, k):
-    """Line-source field -(i/4) H_0^(1)(k |d - r|); symmetric in (d, r)."""
+    """Line-source field -(i/4) H_0^(1)(k |d - r|); symmetric in (d, r).
+
+    Raises when |d - r| <= COINCIDENCE_RTOL * max(|d|, |r|).
+    """
     d = np.asarray(d, dtype=float)
     r = np.asarray(r, dtype=float)
     dist = float(np.hypot(d[0] - r[0], d[1] - r[1]))
-    if dist == 0.0:
+    if _coincident(dist, max(np.hypot(*d), np.hypot(*r))):
         raise SingularityError("incident_field is singular at d = r")
     return -0.25j * hankel1_0(k.k * dist)
 
@@ -123,20 +139,25 @@ def incident_field(d, r, k):
 def incident_field_many(points, positions, k, exclude_coincident=False):
     """Incident field from every antenna to every point, shape (npts, N).
 
-    Bulk path used by the imaging grid sweep.  Exact coincidence of a
-    point with an antenna raises, unless exclude_coincident is set, in
-    which case the return value is (fields, bad_rows) and the caller is
-    expected to drop the flagged points.
+    Bulk path used by the imaging grid sweep (hankel1_0_distances).  A
+    point within COINCIDENCE_RTOL times the array scale (the largest
+    antenna distance from the origin) of an antenna coincides with it;
+    rounding leaves on-grid antennas ~1e-17 m off their grid point, so
+    an exact zero test would miss them.  Coincidence raises, unless
+    exclude_coincident is set, in which case the return value is
+    (fields, bad_rows) and the caller is expected to drop the flagged
+    points.  Their distance is replaced by the call's largest, which
+    keeps them out of the exact path and does not widen the table.
     """
     points = np.asarray(points, dtype=float)
     diff = points[:, None, :] - positions[None, :, :]
     dist = np.hypot(diff[..., 0], diff[..., 1])
-    bad = dist == 0.0
+    bad = _coincident(dist, np.hypot(positions[:, 0], positions[:, 1]).max())
     if bad.any():
         if not exclude_coincident:
             raise SingularityError("a search point coincides with an antenna position")
-        dist = np.where(bad, 1.0, dist)
-    w = -0.25j * hankel1_0(k.k * dist)
+        dist = np.where(bad, dist.max(), dist)
+    w = -0.25j * hankel1_0_distances(k.k, dist)
     if exclude_coincident:
         return w, bad.any(axis=1)
     return w

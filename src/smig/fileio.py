@@ -101,13 +101,14 @@ def write_map(image, path, fmt="csv", meta=None):
 
 
 def _write_map_csv(image, path, meta):
-    xs = image.grid.x_axis()
-    ys = image.grid.y_axis()
+    # Each axis value is formatted once and the rows go out in one write;
+    # tolist() yields Python floats, whose %r is _fmt's repr.
+    ys = [_fmt(y) for y in image.grid.y_axis()]
+    lines = ["x,y,value\n"]
+    for x, row in zip(image.grid.x_axis().tolist(), image.values.tolist()):
+        lines.extend("%r,%s,%r\n" % (x, y, v) for y, v in zip(ys, row))
     with open(path, "w") as fh:
-        fh.write("x,y,value\n")
-        for ix in range(xs.size):
-            for iy in range(ys.size):
-                fh.write("%s,%s,%s\n" % (_fmt(xs[ix]), _fmt(ys[iy]), _fmt(image.values[ix, iy])))
+        fh.write("".join(lines))
     if meta is not None:
         write_sidecar(path, meta)
 

@@ -210,6 +210,11 @@ def test_map_csv_round_trip(tmp_path, default_grid):
         x, y, v = (float(t) for t in rows[idx].split(","))
         ix, iy = divmod(idx, ys.size)
         assert x == xs[ix] and y == ys[iy] and v == values[ix, iy]
+    expected = "x,y,value\n" + "".join(
+        "%s,%s,%s\n" % (repr(float(xs[ix])), repr(float(ys[iy])), repr(float(values[ix, iy])))
+        for ix in range(xs.size) for iy in range(ys.size)
+    )
+    assert path.read_bytes() == expected.encode()
 
 
 def test_map_pgm_constant_saturates(tmp_path, coarse_grid):

@@ -365,3 +365,53 @@ def test_image_map_invariants(coarse_grid):
 
 def test_grid_axes_count(default_grid):
     assert default_grid.shape == (201, 201)
+
+
+def _on_antenna(points, array):
+    """Grid points that coincide with an antenna within the exclusion tolerance."""
+    dist = np.hypot(*(points[:, None, :] - array.positions[None, :, :]).transpose(2, 0, 1))
+    return (dist <= em.COINCIDENCE_RTOL * array.radius).any(axis=1)
+
+
+@pytest.mark.parametrize("count", [4, 8, 16, 32])
+def test_on_grid_antennas_are_excluded(count, small_anomaly, paper_medium, paper_k, default_grid):
+    # Rounding leaves three of the four axis antennas ~1e-17 m off their grid
+    # point; they must still be zeroed, and the full-kind map must not peak there.
+    array = em.antenna_array(count, 0.09)
+    data = forward.contaminate_diagonal(
+        forward.born_smatrix(array, [small_anomaly], paper_medium), 5.0, mode="random", seed=7
+    )
+    image = imaging.image_full(data, default_grid, array, paper_k)
+    on_antenna = _on_antenna(imaging._grid_points(default_grid), array).reshape(default_grid.shape)
+    assert np.count_nonzero(on_antenna) == 4
+    assert np.all(image.values[on_antenna] == 0.0)
+    flat = int(np.argmax(image.values))
+    assert not on_antenna.ravel()[flat]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    count=st.integers(min_value=2, max_value=24),
+    radius_steps=st.integers(min_value=2, max_value=30),
+    half_steps=st.integers(min_value=1, max_value=20),
+    step=st.floats(min_value=1e-3, max_value=1e-2),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_map_values_finite_nonnegative_and_zero_on_antennas(
+    paper_k, count, radius_steps, half_steps, step, seed
+):
+    # The radius is a whole number of steps, so for count % 4 == 0 the
+    # antenna at angle 0 lies on the grid whenever the grid reaches it.
+    array = em.antenna_array(count, radius_steps * step)
+    half = half_steps * step
+    grid = ImagingGrid(-half, half, -half, half, step)
+    rng = np.random.default_rng(seed)
+    entries = rng.normal(size=(count, count)) + 1j * rng.normal(size=(count, count))
+    on_antenna = _on_antenna(imaging._grid_points(grid), array).reshape(grid.shape)
+    for image in (
+        imaging.image_full(_matrix(entries), grid, array, paper_k),
+        imaging.image_diag(imaging.zero_diagonal(_matrix(entries)), grid, array, paper_k),
+    ):
+        assert np.all(np.isfinite(image.values))
+        assert np.all(image.values >= 0)
+        assert np.all(image.values[on_antenna] == 0.0)

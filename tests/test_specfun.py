@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smig import specfun
+from smig import em, specfun
 from smig.errors import DomainError, SingularityError
 from smig.specfun import SeriesTruncation, bessel_j, bessel_y, hankel1_0, jacobi_anger_partial
 
@@ -210,3 +210,46 @@ def test_large_lossy_hankel_matches_mpmath(z):
     assert abs(hankel1_0(np.array([z, 2.0]))[0] - ref[0]) <= rel[0]
     assert np.all(np.abs(specfun.hankel1_sequence(z, 5) - ref) <= rel)
     assert np.all(np.abs(specfun.hankel1_sequence(np.array([[z]]), 5)[:, 0, 0] - ref) <= rel)
+
+
+_PAPER_MEDIUM = em.MediumParams.from_relative(20.0, 0.2, 1.0e9)
+_TABLE_KS = [em.wavenumber(_PAPER_MEDIUM).k, em.lossless_wavenumber(_PAPER_MEDIUM).k]
+
+
+@pytest.mark.parametrize("k", _TABLE_KS, ids=["lossy", "lossless"])
+def test_distance_table_matches_hankel1_0(k):
+    # |k| d from just below the exact floor to 40: both sides of the floor
+    # and of the |z| = 25 switch, with enough distances for the table.
+    floor = specfun._TABLE_FLOOR
+    edges = floor * np.array([1 - 1e-3, 1 - 1e-9, 1 + 1e-9, 1 + 1e-3])
+    kd = np.concatenate([edges, np.linspace(floor, 40.0, 20001), [24.999, 25.001]])
+    d = kd / abs(k)
+    got = specfun.hankel1_0_distances(k, d)
+    ref = hankel1_0(k * d)
+    assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
+    assert not np.array_equal(got, ref)  # the tabulated path ran
+
+
+@pytest.mark.parametrize("k", _TABLE_KS, ids=["lossy", "lossless"])
+def test_distance_table_size_rule_boundary(k):
+    # |k| d over [0.5, 2.3]: 5 segments whatever the count, so the rule's
+    # threshold is known; dropping one interior distance keeps the range.
+    needed = (math.ceil(1.8 / specfun._TABLE_SEGMENT) * (specfun._TABLE_DEGREE + 1)
+              * specfun._TABLE_MIN_RATIO)
+    over = np.linspace(0.5, 2.3, needed) / abs(k)
+    under = np.delete(over, needed // 2)
+    got_over = specfun.hankel1_0_distances(k, over)
+    got_under = specfun.hankel1_0_distances(k, under)
+    assert np.array_equal(got_under, hankel1_0(k * under))  # exact path
+    assert not np.array_equal(got_over, hankel1_0(k * over))  # table
+    shared = np.delete(got_over, needed // 2)
+    assert np.all(np.abs(shared - got_under) <= 1e-12 * np.abs(got_under))
+
+
+def test_distance_table_keeps_exact_errors():
+    k = _TABLE_KS[0]
+    d = np.linspace(0.01, 0.2, 5000)
+    with pytest.raises(SingularityError):
+        specfun.hankel1_0_distances(k, np.append(d, 0.0))
+    with pytest.raises(DomainError):
+        specfun.hankel1_0_distances(k, np.append(d, 2 * specfun.MAX_ARGUMENT / abs(k)))
