@@ -1,39 +1,34 @@
 #!/usr/bin/env python3
 """Small-anomaly localization experiment, Table-1 scenario.
 
-Synthesizes point-model data for the 0.010 m anomaly at (0.01, 0.03) m,
-contaminates the diagonal, and images with both map variants on the full
-201 x 201 grid.  Writes map CSVs plus the singular spectrum and prints the
-localization summary.
+Synthesizes the default configuration (point-model data for the 0.010 m
+anomaly at (0.01, 0.03) m, diagonal contaminated) and images it with both
+map variants on the full 201 x 201 grid.  Writes map CSVs plus the
+singular spectrum and prints the localization summary.
 
     python scripts/run_localization.py [outdir]
 """
 
+import os
 import sys
 import time
 
-from smig import em, fileio, forward, imaging
+from smig import config, fileio, imaging
 
 OUT = sys.argv[1] if len(sys.argv) > 1 else "out_localization"
 
 
 def main():
-    import os
-
     os.makedirs(OUT, exist_ok=True)
-    medium = em.MediumParams.from_relative(20.0, 0.2, 1.0e9)
-    array = em.antenna_array(16, 0.09)
-    anomaly = forward.Anomaly.from_relative((0.01, 0.03), 0.010, 55.0, 1.2)
-    k = em.wavenumber(medium)
-    grid = imaging.ImagingGrid(-0.1, 0.1, -0.1, 0.1, 0.001)
-
-    born = forward.born_smatrix(array, [anomaly], medium)
-    contaminated = forward.contaminate_diagonal(born, 5.0, mode="random", seed=20260808)
+    cfg = config.with_seed(config.RunConfig(), 20260808)
+    array, grid = config.build_array(cfg), config.build_grid(cfg)
+    k = config.build_imaging_wavenumber(cfg)
+    contaminated = config.build_scattered(cfg)
 
     start = time.perf_counter()
     diag_map = imaging.image_diag(imaging.zero_diagonal(contaminated), grid, array, k)
     elapsed = time.perf_counter() - start
-    full_map = imaging.image_full(contaminated, grid, array, k)
+    full_map = imaging.image_full(contaminated, grid, array, k, config.build_rank_policy(cfg))
 
     for name, image in (("diag", diag_map), ("full", full_map)):
         fileio.write_map(image, "%s/map_%s.csv" % (OUT, name), "csv")
@@ -50,7 +45,8 @@ def main():
     loc_f, peak_f = imaging.argmax(full_map)
     print("full-matrix map (M=%d): argmax (%.4f, %.4f) m, peak %.4f"
           % (full_map.rank_used, loc_f[0], loc_f[1], peak_f))
-    print("true center (0.0100, 0.0300) m; outputs in %s/" % OUT)
+    a = cfg.anomalies[0]
+    print("true center (%.4f, %.4f) m; outputs in %s/" % (a.center_x_m, a.center_y_m, OUT))
 
 
 if __name__ == "__main__":

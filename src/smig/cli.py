@@ -22,7 +22,7 @@ from .specfun import SeriesTruncation
 def _load_config(args):
     cfg = cfgmod.RunConfig()
     if args.config:
-        with open(args.config) as fh:
+        with open(args.config, errors="replace") as fh:  # stray bytes fail as bad values
             cfg = cfgmod.parse_config(fh.read())
     if args.override:
         cfg = cfgmod.apply_overrides(cfg, args.override)
@@ -41,30 +41,6 @@ def _meta(cfg):
     }
 
 
-def _synthesize(cfg):
-    medium = cfgmod.build_medium(cfg)
-    array = cfgmod.build_array(cfg)
-    anomalies = cfgmod.build_anomalies(cfg)
-    denom = cfg.imaging.contrast_denominator
-    if cfg.synthesis.generator == "born":
-        scat = forward.born_smatrix(array, anomalies, medium, denominator=denom)
-    else:
-        parts = [
-            forward.exact_disc_smatrix(array, a, medium, denominator=denom) for a in anomalies
-        ]
-        entries = np.sum([p.entries for p in parts], axis=0)
-        scat = forward.ScatteringMatrix(entries, forward.KIND_FULL, "exact_disc", medium.frequency_hz)
-    if cfg.synthesis.contamination_amplitude_rel > 0:
-        scat = forward.contaminate_diagonal(
-            scat,
-            cfg.synthesis.contamination_amplitude_rel,
-            mode=cfg.synthesis.contamination_mode,
-            seed=cfg.synthesis.contamination_seed,
-        )
-    scat = forward.add_noise(scat, cfg.synthesis.noise_snr_db, seed=cfg.synthesis.noise_seed)
-    return scat
-
-
 def _scattered_matrix(cfg, args):
     if getattr(args, "stot", None) or getattr(args, "sinc", None):
         if not (args.stot and args.sinc):
@@ -72,7 +48,7 @@ def _scattered_matrix(cfg, args):
         s_tot = fileio.read_sparams(args.stot)
         s_inc = fileio.read_sparams(args.sinc)
         return forward.subtract(s_tot, s_inc)
-    return _synthesize(cfg)
+    return cfgmod.build_scattered(cfg)
 
 
 def _out_dir(cfg, args):
@@ -86,7 +62,7 @@ def _cmd_simulate(args):
     out = _out_dir(cfg, args)
     medium = cfgmod.build_medium(cfg)
     array = cfgmod.build_array(cfg)
-    scat = _synthesize(cfg)
+    scat = cfgmod.build_scattered(cfg)
     inc = forward.incident_coupling_smatrix(array, medium)
     tot = forward.ScatteringMatrix(
         inc.entries + scat.entries, forward.KIND_FULL, "synthetic_total", medium.frequency_hz
@@ -107,7 +83,7 @@ def _cmd_image(args):
     grid = cfgmod.build_grid(cfg)
     k = cfgmod.build_imaging_wavenumber(cfg)
     scat = _scattered_matrix(cfg, args)
-    if cfg.imaging.matrix_kind == "zero_diagonal":
+    if cfg.imaging.matrix_kind == forward.KIND_ZERO_DIAGONAL:
         data = imaging.zero_diagonal(scat)
         image = imaging.image_diag(data, grid, array, k)
     else:
@@ -116,13 +92,9 @@ def _cmd_image(args):
     fmt = args.format or cfg.output.format
     meta = _meta(cfg)
     written = []
-    if fmt in ("csv", "both"):
-        path = os.path.join(out, "map.csv")
-        fileio.write_map(image, path, "csv", meta=meta)
-        written.append(path)
-    if fmt in ("pgm", "both"):
-        path = os.path.join(out, "map.pgm")
-        fileio.write_map(image, path, "pgm", meta=meta)
+    for ext in fileio.MAP_FORMATS[fmt]:
+        path = os.path.join(out, "map." + ext)
+        fileio.write_map(image, path, ext, meta=meta)
         written.append(path)
     print(
         "argmax_x_m=%r argmax_y_m=%r peak=%r rank_used=%d files=%s"
@@ -169,7 +141,7 @@ def _cmd_spectrum(args):
     cfg = _load_config(args)
     out = _out_dir(cfg, args)
     scat = _scattered_matrix(cfg, args)
-    if cfg.imaging.matrix_kind == "zero_diagonal":
+    if cfg.imaging.matrix_kind == forward.KIND_ZERO_DIAGONAL:
         scat = imaging.zero_diagonal(scat)
     decomp = imaging.svd(scat)
     path = os.path.join(out, "spectrum.csv")
@@ -186,7 +158,7 @@ def _add_common(p):
     p.add_argument("--override", action="append", default=[], metavar="KEY=VALUE",
                    help="override one config key (repeatable)")
     p.add_argument("--out", help="output directory (default from config)")
-    p.add_argument("--format", choices=("csv", "pgm", "both"), help="map output format")
+    p.add_argument("--format", choices=tuple(fileio.MAP_FORMATS), help="map output format")
     p.add_argument("--seed", type=int, help="master seed for all random streams")
 
 

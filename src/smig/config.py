@@ -7,14 +7,31 @@ The on-disk format is dotted keys, one per line, '#' comments:
 
 Unknown keys are rejected, every key has a default, and
 parse(serialize(c)) == c for every valid configuration.
+
+Values are checked where they are used: parsing builds every domain
+object once (build_*), so their constructors hold the range rules, and
+an enum key accepts the tuple its consumer dispatches on (forward,
+imaging, fileio).  Synthesis values are checked by the forward functions
+that use them, when a run synthesizes.
 """
 
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 
-from . import em, forward, imaging
+import numpy as np
+
+from . import em, fileio, forward, imaging
 from .errors import ConfigError
+
+
+def _choice(allowed, default):
+    """A string field restricted to the values its consumer dispatches on."""
+    def parse(text):
+        if text not in allowed:
+            raise ValueError("must be one of %s, got %r" % ("/".join(allowed), text))
+        return text
+    return field(default=default, metadata={"codec": (parse, str)})
 
 
 @dataclass(frozen=True)
@@ -50,19 +67,19 @@ class GridConfig:
 
 @dataclass(frozen=True)
 class ImagingConfig:
-    matrix_kind: str = "zero_diagonal"
-    rank_mode: str = "relative_threshold"
+    matrix_kind: str = _choice(forward.KINDS, forward.KIND_ZERO_DIAGONAL)
+    rank_mode: str = _choice(imaging.RANK_MODES, "relative_threshold")
     rank_threshold: float = 0.02
     rank_fixed_m: int | None = None
-    contrast_denominator: str = "sigma_b"
+    contrast_denominator: str = _choice(forward.DENOMINATORS, forward.DENOM_SIGMA)
     lossless_k: bool = False
 
 
 @dataclass(frozen=True)
 class SynthesisConfig:
-    generator: str = "born"
+    generator: str = _choice(forward.GENERATORS, "born")
     contamination_amplitude_rel: float = 5.0
-    contamination_mode: str = "random"
+    contamination_mode: str = _choice(forward.CONTAMINATION_MODES, "random")
     contamination_seed: int = 0
     noise_snr_db: float = math.inf
     noise_seed: int = 0
@@ -71,7 +88,7 @@ class SynthesisConfig:
 @dataclass(frozen=True)
 class OutputConfig:
     directory: str = "."
-    format: str = "csv"
+    format: str = _choice(fileio.MAP_FORMATS, "csv")
 
 
 @dataclass(frozen=True)
@@ -97,55 +114,26 @@ def _parse_opt_int(text):
     return None if text in ("none", "None", "") else int(text)
 
 
+# field type -> (parse, serialize); a _choice field carries its own pair.
+_CODECS = {
+    float: (float, repr),
+    int: (int, repr),
+    bool: (_parse_bool, lambda v: "true" if v else "false"),
+    str: (str, str),
+    int | None: (_parse_opt_int, lambda v: "none" if v is None else repr(v)),
+}
+
+
+def _codecs(cls):
+    return {f.name: f.metadata.get("codec") or _CODECS[f.type] for f in fields(cls)}
+
+
+_SECTIONS = {"medium": MediumConfig, "array": ArrayConfig, "grid": GridConfig,
+             "imaging": ImagingConfig, "synthesis": SynthesisConfig, "output": OutputConfig}
 # key -> (section attr, field name, parse, serialize)
-_SCHEMA = {}
-
-
-def _register(section, prefix, fields):
-    for name, (parse, fmt) in fields.items():
-        _SCHEMA["%s.%s" % (prefix, name)] = (section, name, parse, fmt)
-
-
-_FLOAT = (float, repr)
-_INT = (int, repr)
-_BOOL = (_parse_bool, lambda v: "true" if v else "false")
-_STR = (str, str)
-_OPT_INT = (_parse_opt_int, lambda v: "none" if v is None else repr(v))
-
-_register("medium", "medium", {
-    "permittivity_rel": _FLOAT,
-    "conductivity_s_per_m": _FLOAT,
-    "frequency_hz": _FLOAT,
-})
-_register("array", "array", {"count": _INT, "radius_m": _FLOAT})
-_register("grid", "grid", {
-    "x_min_m": _FLOAT, "x_max_m": _FLOAT, "y_min_m": _FLOAT, "y_max_m": _FLOAT,
-    "step_m": _FLOAT,
-})
-_register("imaging", "imaging", {
-    "matrix_kind": _STR, "rank_mode": _STR, "rank_threshold": _FLOAT,
-    "rank_fixed_m": _OPT_INT, "contrast_denominator": _STR, "lossless_k": _BOOL,
-})
-_register("synthesis", "synthesis", {
-    "generator": _STR, "contamination_amplitude_rel": _FLOAT,
-    "contamination_mode": _STR, "contamination_seed": _INT,
-    "noise_snr_db": _FLOAT, "noise_seed": _INT,
-})
-_register("output", "output", {"directory": _STR, "format": _STR})
-
-_ANOMALY_FIELDS = {
-    "center_x_m": _FLOAT, "center_y_m": _FLOAT, "radius_m": _FLOAT,
-    "permittivity_rel": _FLOAT, "conductivity_s_per_m": _FLOAT,
-}
-
-_ENUM_KEYS = {
-    "imaging.matrix_kind": ("full", "zero_diagonal"),
-    "imaging.rank_mode": ("relative_threshold", "fixed"),
-    "imaging.contrast_denominator": ("sigma_b", "eps_b"),
-    "synthesis.generator": ("born", "exact_disc"),
-    "synthesis.contamination_mode": ("constant", "random"),
-    "output.format": ("csv", "pgm", "both"),
-}
+_SCHEMA = {"%s.%s" % (section, name): (section, name) + codec
+           for section, cls in _SECTIONS.items() for name, codec in _codecs(cls).items()}
+_ANOMALY_FIELDS = _codecs(AnomalyConfig)
 
 
 def _split_lines(text):
@@ -159,47 +147,8 @@ def _split_lines(text):
         yield key.strip(), value.strip()
 
 
-def _validate(cfg):
-    if cfg.medium.permittivity_rel <= 0 or cfg.medium.frequency_hz <= 0:
-        raise ConfigError("medium: permittivity and frequency must be positive")
-    if cfg.medium.conductivity_s_per_m < 0:
-        raise ConfigError("medium.conductivity_s_per_m must be >= 0")
-    if cfg.array.count < 2:
-        raise ConfigError("array.count must be >= 2")
-    if cfg.array.radius_m <= 0:
-        raise ConfigError("array.radius_m must be > 0")
-    if not cfg.anomalies:
-        raise ConfigError("at least one anomaly block is required")
-    for i, a in enumerate(cfg.anomalies, start=1):
-        if a.radius_m <= 0:
-            raise ConfigError("anomaly.%d.radius_m must be > 0" % i)
-        if a.permittivity_rel <= 0:
-            raise ConfigError("anomaly.%d.permittivity_rel must be > 0" % i)
-        if a.conductivity_s_per_m < 0:
-            raise ConfigError("anomaly.%d.conductivity_s_per_m must be >= 0" % i)
-    if cfg.grid.step_m <= 0:
-        raise ConfigError("grid.step_m must be > 0")
-    if cfg.grid.x_min_m >= cfg.grid.x_max_m or cfg.grid.y_min_m >= cfg.grid.y_max_m:
-        raise ConfigError("grid bounds must satisfy min < max")
-    if not 0.0 < cfg.imaging.rank_threshold < 1.0:
-        raise ConfigError("imaging.rank_threshold must lie in (0, 1)")
-    if cfg.imaging.rank_mode == "fixed" and (cfg.imaging.rank_fixed_m or 0) < 1:
-        raise ConfigError("imaging.rank_fixed_m must be >= 1 in fixed mode")
-    if cfg.synthesis.contamination_amplitude_rel < 0:
-        raise ConfigError("synthesis.contamination_amplitude_rel must be >= 0")
-    if math.isnan(cfg.synthesis.noise_snr_db):
-        raise ConfigError("synthesis.noise_snr_db must be a number or inf")
-    for key, allowed in _ENUM_KEYS.items():
-        section, name, _, _ = _SCHEMA[key]
-        value = getattr(getattr(cfg, section), name)
-        if value not in allowed:
-            raise ConfigError("%s must be one of %s, got %r" % (key, "/".join(allowed), value))
-    return cfg
-
-
 def _apply_pairs(cfg, pairs):
-    sections = {name: dict(vars(getattr(cfg, name)))
-                for name in ("medium", "array", "grid", "imaging", "synthesis", "output")}
+    sections = {name: dict(vars(getattr(cfg, name))) for name in _SECTIONS}
     anomalies = {i + 1: dict(vars(a)) for i, a in enumerate(cfg.anomalies)}
     seen = set()
     for key, text in pairs:
@@ -233,15 +182,16 @@ def _apply_pairs(cfg, pairs):
     indices = sorted(anomalies)
     if indices != list(range(1, len(indices) + 1)):
         raise ConfigError("anomaly indices must be contiguous from 1, got %s" % indices)
-    return _validate(RunConfig(
-        medium=MediumConfig(**sections["medium"]),
-        array=ArrayConfig(**sections["array"]),
-        anomalies=tuple(AnomalyConfig(**anomalies[i]) for i in indices),
-        grid=GridConfig(**sections["grid"]),
-        imaging=ImagingConfig(**sections["imaging"]),
-        synthesis=SynthesisConfig(**sections["synthesis"]),
-        output=OutputConfig(**sections["output"]),
-    ))
+    cfg = RunConfig(anomalies=tuple(AnomalyConfig(**anomalies[i]) for i in indices),
+                    **{name: cls(**sections[name]) for name, cls in _SECTIONS.items()})
+    # Each constructor holds its own range rules; building everything once
+    # rejects a bad value now, with that constructor's typed error.
+    build_anomalies(cfg)
+    build_array(cfg)
+    build_grid(cfg)
+    build_rank_policy(cfg)
+    build_imaging_wavenumber(cfg)
+    return cfg
 
 
 def parse_config(text):
@@ -303,11 +253,18 @@ def build_grid(cfg):
 
 
 def build_rank_policy(cfg):
-    return imaging.RankPolicy(
+    policy = imaging.RankPolicy(
         mode=cfg.imaging.rank_mode,
         threshold=cfg.imaging.rank_threshold,
         fixed_m=cfg.imaging.rank_fixed_m,
     )
+    # The diagonal-free map is the first singular pair by construction.
+    if (cfg.imaging.matrix_kind == forward.KIND_ZERO_DIAGONAL and policy.mode == "fixed"
+            and policy.fixed_m != 1):
+        raise ConfigError("imaging.rank_fixed_m = %r contradicts imaging.matrix_kind = %s, "
+                          "which images exactly one singular pair"
+                          % (policy.fixed_m, cfg.imaging.matrix_kind))
+    return policy
 
 
 def build_imaging_wavenumber(cfg):
@@ -315,6 +272,26 @@ def build_imaging_wavenumber(cfg):
     if cfg.imaging.lossless_k:
         return em.lossless_wavenumber(medium)
     return em.wavenumber(medium)
+
+
+def build_scattered(cfg):
+    """Synthetic scattered-field matrix: generator, then diagonal contamination, then noise."""
+    medium = build_medium(cfg)
+    array = build_array(cfg)
+    anomalies = build_anomalies(cfg)
+    syn = cfg.synthesis
+    denom = cfg.imaging.contrast_denominator
+    if syn.generator == "born":
+        scat = forward.born_smatrix(array, anomalies, medium, denominator=denom)
+    else:
+        entries = np.sum([forward.exact_disc_smatrix(array, a, medium, denominator=denom).entries
+                          for a in anomalies], axis=0)
+        scat = forward.ScatteringMatrix(entries, forward.KIND_FULL, "exact_disc", medium.frequency_hz)
+    scat = forward.contaminate_diagonal(
+        scat, syn.contamination_amplitude_rel, mode=syn.contamination_mode,
+        seed=syn.contamination_seed,
+    )
+    return forward.add_noise(scat, syn.noise_snr_db, seed=syn.noise_seed)
 
 
 def with_seed(cfg, seed):

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, SingularityError
+from .errors import ConfigError, DomainError, SingularityError
 from .specfun import hankel1_0, hankel1_0_distances
 
 VACUUM_PERMITTIVITY = 8.8541878128e-12  # F/m
@@ -32,14 +32,10 @@ class MediumParams:
     mu_b: float = VACUUM_PERMEABILITY
 
     def __post_init__(self):
-        if not self.eps_b > 0:
-            raise ConfigError("medium eps_b must be > 0, got %r" % (self.eps_b,))
-        if self.sigma_b < 0:
-            raise ConfigError("medium sigma_b must be >= 0, got %r" % (self.sigma_b,))
-        if not self.mu_b > 0:
-            raise ConfigError("medium mu_b must be > 0, got %r" % (self.mu_b,))
-        if not self.omega > 0:
-            raise ConfigError("medium omega must be > 0, got %r" % (self.omega,))
+        if not (0 < self.eps_b < math.inf and 0 < self.mu_b < math.inf
+                and 0 < self.omega < math.inf and 0 <= self.sigma_b < math.inf):
+            raise ConfigError("medium needs finite eps_b, mu_b, omega > 0 and sigma_b >= 0, "
+                              "got %r" % (self,))
 
     @classmethod
     def from_relative(cls, permittivity_rel, conductivity, frequency_hz):
@@ -56,15 +52,14 @@ class MediumParams:
 
 @dataclass(frozen=True)
 class ComplexWavenumber:
-    """Principal-branch wavenumber of a passive medium: Re k > 0, Im k >= 0."""
+    """Principal-branch wavenumber of a passive medium: Re k > 0, Im k >= 0, finite."""
 
     k: complex
 
     def __post_init__(self):
-        if not self.k.real > 0:
-            raise ConfigError("wavenumber must have Re k > 0, got %r" % (self.k,))
-        if self.k.imag < 0:
-            raise ConfigError("wavenumber must have Im k >= 0, got %r" % (self.k,))
+        if not (0 < self.k.real < math.inf and 0 <= self.k.imag < math.inf):
+            raise ConfigError("wavenumber must have finite Re k > 0 and Im k >= 0, got %r"
+                              % (self.k,))
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,8 +81,8 @@ def antenna_array(count, radius):
     """Canonical circular array constructor."""
     if count < 2:
         raise ConfigError("antenna count must be >= 2 (imaging needs off-diagonal data), got %d" % count)
-    if not radius > 0:
-        raise ConfigError("array radius must be > 0, got %r" % (radius,))
+    if not 0 < radius < math.inf:
+        raise ConfigError("array radius must be finite and > 0, got %r" % (radius,))
     n = np.arange(count)
     angles = 3.0 * math.pi / 2.0 - 2.0 * math.pi * n / count
     positions = radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
@@ -96,7 +91,10 @@ def antenna_array(count, radius):
 
 def wavenumber(medium):
     """k = principal sqrt of w^2 mu_b (eps_b + i sigma_b / w)."""
-    k2 = medium.omega ** 2 * medium.mu_b * complex(medium.eps_b, medium.sigma_b / medium.omega)
+    try:
+        k2 = medium.omega ** 2 * medium.mu_b * complex(medium.eps_b, medium.sigma_b / medium.omega)
+    except OverflowError:
+        raise DomainError("wavenumber overflows at omega = %r rad/s" % (medium.omega,)) from None
     return ComplexWavenumber(k=complex(np.sqrt(k2)))
 
 

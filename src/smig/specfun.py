@@ -68,23 +68,35 @@ class SeriesTruncation:
             raise DomainError("SeriesTruncation.abs_tol must be > 0, got %r" % (self.abs_tol,))
 
 
+def _as_batch(z):
+    """z as a complex array of at least one dimension, plus whether it was a scalar.
+
+    The one argument check, shared by every entry point and the Miller batch:
+    non-finite z or |z| > MAX_ARGUMENT raises DomainError (the recurrence
+    would run ~|z| steps); an empty array yields an empty result.
+    """
+    arr = np.asarray(z, dtype=complex)
+    if not np.abs(arr).max(initial=0.0) <= MAX_ARGUMENT:
+        raise DomainError("argument must be finite with magnitude <= %g" % MAX_ARGUMENT)
+    return np.atleast_1d(arr), arr.ndim == 0
+
+
 def _j_sequence(z, s_max):
     """J_0(z)..J_{s_max}(z) by normalized downward recurrence.
 
     Accepts a scalar or an ndarray argument; returns shape
-    (s_max+1,) + z.shape.  Valid for any |z| <= MAX_ARGUMENT; intended
-    workhorse for |z| <= 25 where it carries full double precision.
+    (s_max+1,) + z.shape.  Valid for any |z| <= MAX_ARGUMENT (larger or
+    non-finite z raises DomainError); intended workhorse for |z| <= 25
+    where it carries full double precision.
     """
-    z = np.asarray(z, dtype=complex)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
+    z, scalar = _as_batch(z)
     az = np.abs(z)
     # Below this the two-term ascending series is exact to double precision
     # and the recurrence factor 2s/z would run out of exponent headroom.
     tiny = az < 1e-6
     zsafe = np.where(tiny, 1.0, z)
 
-    top = float(az.max()) if az.size else 0.0
+    top = float(az.max(initial=0.0))
     start = max(s_max, int(np.ceil(top)) + _ORDER_PAD) + 12
     jp = np.zeros_like(zsafe)
     jc = np.full_like(zsafe, 1e-30)
@@ -98,7 +110,7 @@ def _j_sequence(z, s_max):
         if (s - 1) % 2 == 0 and s - 1 > 0:
             norm += 2.0 * jc
         mag = np.abs(jc)
-        if mag.max() > _RESCALE_LIMIT:
+        if mag.max(initial=0.0) > _RESCALE_LIMIT:
             f = np.where(mag > _RESCALE_LIMIT, 1e-250, 1.0)
             jc = jc * f
             jp = jp * f
@@ -159,14 +171,6 @@ def _jy01_asymptotic(z):
     return (h1 + h2) / 2.0, (g1 + g2) / 2.0, (h1 - h2) / 2j, (g1 - g2) / 2j
 
 
-def _as_batch(z):
-    """z as a complex array of at least one dimension, plus whether it was a scalar."""
-    arr = np.asarray(z, dtype=complex)
-    if arr.size and np.abs(arr).max() > MAX_ARGUMENT:
-        raise DomainError("argument magnitude exceeds the supported limit %g" % MAX_ARGUMENT)
-    return np.atleast_1d(arr), arr.ndim == 0
-
-
 def _check_nonzero(arr, name):
     if np.any(arr == 0):
         raise SingularityError("%s is singular at z = 0" % name)
@@ -179,7 +183,8 @@ def _split(z, near, far):
     whose last axis runs over them; the leading axes carry over.
     """
     mask = np.abs(z) <= _SERIES_CUTOFF
-    parts = [(m, fn(z[m])) for m, fn in ((mask, near), (~mask, far)) if m.any()]
+    # An empty z runs both on nothing, which sizes the result's leading axes.
+    parts = [(m, fn(z[m])) for m, fn in ((mask, near), (~mask, far)) if m.any() or not z.size]
     out = np.empty(parts[0][1].shape[:-1] + z.shape, dtype=complex)
     for m, values in parts:
         out[..., m] = values
@@ -192,7 +197,7 @@ def _near_batch(z, s_max):
     Long enough for the Neumann series, so J and Y of the same argument
     come from one batch whichever function asks.
     """
-    return _j_sequence(z, max(s_max, int(np.ceil(np.abs(z).max())) + _ORDER_PAD + 2))
+    return _j_sequence(z, max(s_max, int(np.ceil(np.abs(z).max(initial=0.0))) + _ORDER_PAD + 2))
 
 
 def _hankel01_near(z):
@@ -367,7 +372,7 @@ def jacobi_anger_partial(x, theta, trunc=SeriesTruncation()):
     negative-order terms pair up exactly.
     """
     x = float(x)
-    if not 0 <= x <= MAX_ARGUMENT:
-        raise DomainError("jacobi_anger_partial expects 0 <= x <= %g, got %g" % (MAX_ARGUMENT, x))
+    if not x >= 0:
+        raise DomainError("jacobi_anger_partial expects x >= 0, got %g" % x)
     j0, harmonics = _jacobi_anger_terms(x, [float(theta)], trunc.max_order)
     return complex(j0 + harmonics[0])

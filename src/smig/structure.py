@@ -145,8 +145,6 @@ def ideal_plane_wave_matrix(array, k_real, r_star, kind=KIND_FULL, frequency_hz=
     entries = np.outer(v, v) / array.count
     if kind == KIND_ZERO_DIAGONAL:
         np.fill_diagonal(entries, 0.0)
-    elif kind != KIND_FULL:
-        raise ConfigError("unknown matrix kind %r" % (kind,))
     return ScatteringMatrix(entries, kind, "ideal_plane_wave", frequency_hz)
 
 

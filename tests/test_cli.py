@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from smig import config as cfgmod
 from smig import fileio, forward
 from smig.cli import main
 
@@ -116,3 +119,67 @@ def test_sidecar_has_config_hash(tmp_path, capsys):
     sidecar = (tmp_path / "spectrum.csv.meta.txt").read_text()
     assert "config_sha256 = " in sidecar
     assert "contamination_seed = 5" in sidecar
+
+
+def _one_line_error(err):
+    return err.startswith("error:") and err.count("\n") == 1 and err.endswith("\n")
+
+
+COARSE = ["--override", "grid.step_m=0.02"]
+
+
+@pytest.mark.parametrize("overrides", [
+    ["grid.x_min_m=nan"],
+    ["grid.step_m=inf"],
+    ["synthesis.noise_snr_db=-inf"],
+    ["synthesis.noise_snr_db=1e300"],
+    ["medium.frequency_hz=1e300"],
+    ["anomaly.1.radius_m=1e300"],
+    ["synthesis.contamination_amplitude_rel=nan"],
+    ["imaging.rank_mode=fixed", "imaging.rank_fixed_m=99"],
+    ["anomaly.1.center_x_m=0.0", "anomaly.1.center_y_m=-0.085"],
+    ["grid.step_m=1e-6"],
+])
+def test_bad_input_is_one_line_error(tmp_path, capsys, overrides):
+    argv = ["image", "--out", str(tmp_path)]
+    for item in overrides:
+        argv += ["--override", item]
+    if not any(item.startswith("grid.step_m=") for item in overrides):
+        argv += COARSE
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert _one_line_error(err), err
+
+
+def test_config_file_with_stray_bytes_is_one_line_error(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"medium.frequency_hz = 1e9\xff\n")
+    assert main(["image", "--config", str(path), "--out", str(tmp_path)] + COARSE) == 1
+    assert _one_line_error(capsys.readouterr().err)
+
+
+def test_validate_huge_frequency_is_one_line_error(capsys):
+    rc = main(["validate", "--override", "imaging.lossless_k=true",
+               "--override", "medium.frequency_hz=1e300"])
+    assert rc == 1
+    assert _one_line_error(capsys.readouterr().err)
+
+
+_KEYS = sorted(cfgmod._SCHEMA) + ["anomaly.1." + name for name in sorted(cfgmod._ANOMALY_FIELDS)]
+_VALUES = ["nan", "inf", "-inf", "0", "-1", "1e300", "-1e300", "", "bogus", "1,5"]
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(["image", "simulate", "spectrum", "validate"]),
+       key=st.sampled_from(_KEYS), value=st.sampled_from(_VALUES))
+def test_cli_never_tracebacks(tmp_path, capsys, command, key, value):
+    argv = [command, "--out", str(tmp_path), "--override", "%s=%s" % (key, value)]
+    if key != "grid.step_m":
+        argv += COARSE
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc in (0, 1)
+    if rc == 1:
+        assert _one_line_error(err), err

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from smig import config as cfgmod
 from smig import fileio, forward, imaging
-from smig.errors import ConfigError, DataError
+from smig.errors import ConfigError, DataError, SmigError
 
 
 def test_empty_config_gives_table_defaults():
@@ -49,6 +49,43 @@ def test_type_mismatch_rejected():
 def test_enum_value_rejected():
     with pytest.raises(ConfigError, match="matrix_kind"):
         cfgmod.parse_config("imaging.matrix_kind = diagonal_free\n")
+
+
+@pytest.mark.parametrize("key, allowed", [
+    ("imaging.matrix_kind", forward.KINDS),
+    ("imaging.rank_mode", imaging.RANK_MODES),
+    ("imaging.contrast_denominator", forward.DENOMINATORS),
+    ("synthesis.generator", forward.GENERATORS),
+    ("synthesis.contamination_mode", forward.CONTAMINATION_MODES),
+    ("output.format", tuple(fileio.MAP_FORMATS)),
+])
+def test_enum_keys_take_the_consumer_tuple(key, allowed):
+    extra = ["imaging.rank_fixed_m=1"] if key == "imaging.rank_mode" else []
+    for value in allowed:
+        cfg = cfgmod.apply_overrides(cfgmod.RunConfig(), ["%s=%s" % (key, value)] + extra)
+        assert cfgmod.serialize_config(cfg).count("%s = %s\n" % (key, value)) == 1
+    with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
+        cfgmod.apply_overrides(cfgmod.RunConfig(), ["%s=bogus" % key])
+
+
+@pytest.mark.parametrize("override", [
+    "grid.x_min_m=nan", "grid.step_m=inf", "grid.step_m=1e-6", "medium.frequency_hz=nan",
+    "medium.frequency_hz=1e300", "medium.permittivity_rel=inf", "array.radius_m=nan",
+    "anomaly.1.radius_m=inf", "anomaly.1.center_x_m=nan", "imaging.rank_threshold=nan",
+])
+def test_parse_rejects_through_domain_constructors(override):
+    with pytest.raises(SmigError):
+        cfgmod.apply_overrides(cfgmod.RunConfig(), [override])
+
+
+def test_fixed_rank_contradicts_zero_diagonal():
+    fixed = ["imaging.rank_mode=fixed", "imaging.rank_fixed_m=99"]
+    with pytest.raises(ConfigError, match=r"imaging\.rank_fixed_m.*imaging\.matrix_kind"):
+        cfgmod.apply_overrides(cfgmod.RunConfig(), fixed)
+    full = cfgmod.apply_overrides(cfgmod.RunConfig(), fixed + ["imaging.matrix_kind=full"])
+    assert cfgmod.build_rank_policy(full).fixed_m == 99
+    one = cfgmod.apply_overrides(cfgmod.RunConfig(), fixed[:1] + ["imaging.rank_fixed_m=1"])
+    assert cfgmod.build_rank_policy(one).fixed_m == 1
 
 
 def test_anomaly_index_gap_rejected():
@@ -174,6 +211,34 @@ def test_sparams_non_finite(tmp_path):
     )
     with pytest.raises(DataError, match=r"\(1,2\)"):
         fileio.read_sparams(path)
+
+
+def test_sparams_malformed_row(tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_text("# smig-sparams v1, N=1, f_hz=1.0\nm,n,re,im\n1,one,0.0,0.0\n")
+    with pytest.raises(DataError, match="malformed"):
+        fileio.read_sparams(path)
+
+
+@pytest.mark.parametrize("content", [
+    b"# smig-sparams v1, N=1, f_hz=abc\nm,n,re,im\n1,1,0.0,0.0\n",
+    b"# smig-sparams v1, N=99999999, f_hz=1.0\nm,n,re,im\n1,1,0.0,0.0\n",
+    b"# smig-sparams v1, N=1, f_hz=1.0\nm,n,re,im\n1,1,0.0,\xff\xfe\n",
+])
+def test_sparams_bad_header_or_bytes_is_data_error(tmp_path, content):
+    path = tmp_path / "s.csv"
+    path.write_bytes(content)
+    with pytest.raises(DataError):
+        fileio.read_sparams(path)
+
+
+def test_sparams_writer_refuses_non_finite(tmp_path, born_fixture):
+    entries = born_fixture.entries.copy()
+    entries[2, 3] = np.inf
+    bad = forward.ScatteringMatrix(entries, forward.KIND_FULL, "t", 1e9)
+    with pytest.raises(DataError):
+        fileio.write_sparams(bad, tmp_path / "s.csv")
+    assert not (tmp_path / "s.csv").exists()
 
 
 def test_sparams_header_required(tmp_path):

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from smig import em
-from smig.errors import ConfigError, SingularityError
+from smig.errors import ConfigError, DomainError, SingularityError
 
 from oracle_values import H0_AT_10, LAMBDA_LOSSLESS, LAMBDA_PAPER, SMALLNESS_EXTENDED, SMALLNESS_SMALL
 
@@ -145,3 +145,28 @@ def test_wavenumber_invariants():
         em.ComplexWavenumber(-1.0 + 0.0j)
     with pytest.raises(ConfigError):
         em.ComplexWavenumber(1.0 - 0.5j)
+
+
+@pytest.mark.parametrize("eps_b, sigma_b, omega", [
+    (math.nan, 0.0, 1.0), (math.inf, 0.0, 1.0), (1.0, math.nan, 1.0),
+    (1.0, math.inf, 1.0), (1.0, 0.0, math.nan), (1.0, 0.0, math.inf),
+])
+def test_medium_rejects_non_finite(eps_b, sigma_b, omega):
+    with pytest.raises(ConfigError):
+        em.MediumParams(eps_b=eps_b, sigma_b=sigma_b, omega=omega)
+
+
+def test_wavenumber_overflow_is_typed():
+    medium = em.MediumParams.from_relative(20.0, 0.2, 1e300)
+    with pytest.raises(DomainError):
+        em.wavenumber(medium)
+    with pytest.raises(ConfigError):
+        em.ComplexWavenumber(complex(math.inf, 0.0))
+    with pytest.raises(ConfigError):
+        em.ComplexWavenumber(complex(1.0, math.nan))
+
+
+@pytest.mark.parametrize("radius", [math.nan, math.inf])
+def test_antenna_radius_must_be_finite(radius):
+    with pytest.raises(ConfigError):
+        em.antenna_array(16, radius)

@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 from smig import em, forward
 from smig.errors import (
     ConfigError,
+    DataError,
     DomainError,
     GeometryError,
     KindError,
     ShapeError,
-    SingularityError,
+    TruncationError,
 )
 from smig.specfun import SeriesTruncation
 
@@ -45,8 +46,52 @@ def test_born_zero_conductivity_needs_eps_variant(paper_array, small_anomaly):
 
 def test_born_coincident_center(paper_array, paper_medium):
     bad = forward.Anomaly.from_relative(paper_array.positions[3], 0.01, 55.0, 1.2)
-    with pytest.raises(SingularityError):
+    with pytest.raises(GeometryError):
         forward.born_smatrix(paper_array, [bad], paper_medium)
+
+
+@pytest.mark.parametrize("center, radius", [
+    ((0.0, -0.085), 0.01),      # antenna 1 at (0, -0.09) inside, off the centre
+    ((0.0, -0.08), 0.01),       # antenna 1 on the rim
+    ((0.0, 0.0), 0.5),          # every antenna inside
+])
+@pytest.mark.parametrize("generator", [forward.born_smatrix, forward.exact_disc_smatrix])
+def test_antenna_inside_disc_rejected(paper_array, paper_medium, center, radius, generator):
+    anomaly = forward.Anomaly.from_relative(center, radius, 55.0, 1.2)
+    with pytest.raises(GeometryError):
+        generator(paper_array, anomaly, paper_medium)
+
+
+@pytest.mark.parametrize("snr_db", [math.nan, -math.inf, 1e300, -1e300, 301.0])
+def test_noise_snr_outside_range_rejected(born_fixture, snr_db):
+    with pytest.raises(ConfigError):
+        forward.add_noise(born_fixture, snr_db, seed=1)
+
+
+def test_noise_signal_power_overflow_is_typed(born_fixture):
+    huge = forward.ScatteringMatrix(born_fixture.entries * 1e300, forward.KIND_FULL, "t", 1e9)
+    with pytest.raises(DataError):
+        forward.add_noise(huge, 10.0)
+
+
+@pytest.mark.parametrize("amplitude", [math.nan, math.inf, -1.0])
+def test_contamination_amplitude_outside_range_rejected(born_fixture, amplitude):
+    with pytest.raises(ConfigError):
+        forward.contaminate_diagonal(born_fixture, amplitude)
+
+
+def test_negative_seed_rejected(born_fixture):
+    with pytest.raises(ConfigError):
+        forward.contaminate_diagonal(born_fixture, 1.0, mode="random", seed=-1)
+    with pytest.raises(ConfigError):
+        forward.add_noise(born_fixture, 10.0, seed=-1)
+
+
+def test_exact_disc_tiny_radius_is_truncation_error(paper_array, paper_medium):
+    # H_s(k rho) overflows within the first orders; the series reports it.
+    tiny = forward.Anomaly.from_relative((0.01, 0.03), 1e-300, 55.0, 1.2)
+    with pytest.raises(TruncationError):
+        forward.exact_disc_smatrix(paper_array, tiny, paper_medium)
 
 
 def test_born_contrast_doubling_exact(paper_array):
@@ -254,6 +299,20 @@ def test_anomaly_invariants():
         forward.Anomaly(np.array([0.0, 0.0]), -0.01, 1e-11, 0.0)
     with pytest.raises(ConfigError):
         forward.Anomaly(np.array([0.0, 0.0]), 0.01, -1e-11, 0.0)
+
+
+@pytest.mark.parametrize("center, radius, eps, sigma", [
+    ((math.nan, 0.0), 0.01, 1e-10, 0.0),
+    ((0.0, math.inf), 0.01, 1e-10, 0.0),
+    ((0.0, 0.0), math.nan, 1e-10, 0.0),
+    ((0.0, 0.0), math.inf, 1e-10, 0.0),
+    ((0.0, 0.0), 0.01, math.inf, 0.0),
+    ((0.0, 0.0), 0.01, 1e-10, math.nan),
+    ((0.0, 0.0), 0.01, 1e-10, math.inf),
+])
+def test_anomaly_rejects_non_finite(center, radius, eps, sigma):
+    with pytest.raises(ConfigError):
+        forward.Anomaly(np.array(center), radius, eps, sigma)
 
 
 def test_zero_diagonal_kind_enforced():

@@ -354,6 +354,35 @@ def test_grid_invariants():
         ImagingGrid(0.1, -0.1, -0.1, 0.1, 0.001)
 
 
+@pytest.mark.parametrize("bounds, step", [
+    ((math.nan, 0.1, -0.1, 0.1), 0.01),
+    ((-0.1, 0.1, -0.1, math.inf), 0.01),
+    ((-math.inf, 0.1, -0.1, 0.1), 0.01),
+    ((-0.1, 0.1, -0.1, 0.1), math.inf),
+    ((-0.1, 0.1, -0.1, 0.1), math.nan),
+    ((-1e308, 1e308, -0.1, 0.1), 0.01),
+])
+def test_grid_rejects_non_finite(bounds, step):
+    with pytest.raises(ConfigError):
+        ImagingGrid(*bounds, step)
+
+
+def test_grid_point_budget():
+    # 2047^2 points fit the 2^22 budget, 2049^2 do not; neither allocates.
+    assert ImagingGrid(-0.1, 0.1, -0.1, 0.1, 0.2 / 2046).shape == (2047, 2047)
+    with pytest.raises(ConfigError, match="budget"):
+        ImagingGrid(-0.1, 0.1, -0.1, 0.1, 0.2 / 2048)
+    with pytest.raises(ConfigError, match="budget"):
+        ImagingGrid(-0.1, 0.1, -0.1, 0.1, 1e-6)
+
+
+def test_image_map_rejects_nan(coarse_grid):
+    bad = np.ones(coarse_grid.shape)
+    bad[1, 2] = np.nan
+    with pytest.raises(ConfigError):
+        imaging.ImageMap(coarse_grid, bad, 1, 1e9, "full")
+
+
 def test_image_map_invariants(coarse_grid):
     with pytest.raises(ConfigError):
         imaging.ImageMap(coarse_grid, np.ones((3, 3)), 1, 1e9, "full")

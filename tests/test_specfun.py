@@ -253,3 +253,23 @@ def test_distance_table_keeps_exact_errors():
         specfun.hankel1_0_distances(k, np.append(d, 0.0))
     with pytest.raises(DomainError):
         specfun.hankel1_0_distances(k, np.append(d, 2 * specfun.MAX_ARGUMENT / abs(k)))
+
+
+@pytest.mark.parametrize("fn, lead", [
+    (hankel1_0, ()),
+    (lambda z: bessel_j(0, z), ()),
+    (lambda z: bessel_j(7, z), ()),
+    (lambda z: bessel_y(1, z), ()),
+    (lambda z: specfun.hankel1_sequence(z, 3), (4,)),
+])
+def test_empty_argument_gives_empty_result(fn, lead):
+    assert fn(np.array([])).shape == lead + (0,)
+    assert fn(np.zeros((0, 3))).shape == lead + (0, 3)
+
+
+@pytest.mark.parametrize("x", [2.0 * specfun.MAX_ARGUMENT, math.inf, math.nan])
+def test_jacobi_anger_terms_check_argument(x):
+    # The harmonic sum behind the structure series takes the same argument
+    # check as every other entry point instead of running ~x Miller steps.
+    with pytest.raises(DomainError):
+        specfun._jacobi_anger_terms(np.array([0.5, x]), np.zeros((2, 4)), 8)
