@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import em, fileio, forward, imaging
-from .errors import ConfigError
+from .errors import ConfigError, SmigError
 
 
 def _choice(allowed, default):
@@ -185,13 +185,23 @@ def _apply_pairs(cfg, pairs):
     cfg = RunConfig(anomalies=tuple(AnomalyConfig(**anomalies[i]) for i in indices),
                     **{name: cls(**sections[name]) for name, cls in _SECTIONS.items()})
     # Each constructor holds its own range rules; building everything once
-    # rejects a bad value now, with that constructor's typed error.
-    build_anomalies(cfg)
-    build_array(cfg)
-    build_grid(cfg)
-    build_rank_policy(cfg)
-    build_imaging_wavenumber(cfg)
+    # rejects a bad value now, with that constructor's typed error, named by
+    # the block it came from.
+    for i, a in enumerate(cfg.anomalies, start=1):
+        _named("anomaly.%d" % i, _build_anomaly, a)
+    _named("array", build_array, cfg)
+    _named("grid", build_grid, cfg)
+    _named("imaging", build_rank_policy, cfg)
+    _named("medium", build_imaging_wavenumber, cfg)
     return cfg
+
+
+def _named(prefix, build, arg):
+    """build(arg), with a SmigError's message prefixed by its config block; same type."""
+    try:
+        build(arg)
+    except SmigError as exc:
+        raise type(exc)("%s: %s" % (prefix, exc)) from None
 
 
 def parse_config(text):
@@ -238,13 +248,14 @@ def build_array(cfg):
     return em.antenna_array(cfg.array.count, cfg.array.radius_m)
 
 
+def _build_anomaly(a):
+    return forward.Anomaly.from_relative(
+        (a.center_x_m, a.center_y_m), a.radius_m, a.permittivity_rel, a.conductivity_s_per_m
+    )
+
+
 def build_anomalies(cfg):
-    return [
-        forward.Anomaly.from_relative(
-            (a.center_x_m, a.center_y_m), a.radius_m, a.permittivity_rel, a.conductivity_s_per_m
-        )
-        for a in cfg.anomalies
-    ]
+    return [_build_anomaly(a) for a in cfg.anomalies]
 
 
 def build_grid(cfg):

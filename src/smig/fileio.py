@@ -101,14 +101,14 @@ def write_map(image, path, fmt="csv", meta=None):
 
 
 def _write_map_csv(image, path, meta):
-    # Each axis value is formatted once and the rows go out in one write;
-    # tolist() yields Python floats, whose %r is _fmt's repr.
-    ys = [_fmt(y) for y in image.grid.y_axis()]
-    lines = ["x,y,value\n"]
-    for x, row in zip(image.grid.x_axis().tolist(), image.values.tolist()):
-        lines.extend("%r,%s,%r\n" % (x, y, v) for y, v in zip(ys, row))
+    # Each axis value is formatted once and one map row is held as text at
+    # a time; tolist() yields Python floats, whose repr is _fmt's.
+    ys = ["," + _fmt(y) + "," for y in image.grid.y_axis()]
     with open(path, "w") as fh:
-        fh.write("".join(lines))
+        fh.write("x,y,value\n")
+        for x, row in zip(image.grid.x_axis().tolist(), image.values.tolist()):
+            x = repr(x)
+            fh.write("".join([x + y + v + "\n" for y, v in zip(ys, map(repr, row))]))
     if meta is not None:
         write_sidecar(path, meta)
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import em
+from . import em, specfun
 from .errors import ConfigError, DataError, KindError, RankError
 from .forward import KIND_FULL, KIND_ZERO_DIAGONAL, ScatteringMatrix
 
@@ -25,8 +25,8 @@ RANK_MODES = ("relative_threshold", "fixed")
 # Largest grid an ImagingGrid may describe: 2^22 points, 26 times the 401^2
 # large case.  The steering sweep runs in _CHUNK_ROWS blocks, so memory grows
 # with the points only through the coordinate, value and output arrays: at
-# 2047^2 points (Table-1 scenario, 2-vCPU VM) `smig image` peaks at 214 MiB
-# RSS with PGM output (23 s), 1.1 GiB with CSV, whose text is built in memory.
+# 2047^2 points (Table-1 scenario, 2-vCPU VM) `smig image` peaks at 212 MiB
+# RSS with PGM output (14 s) and 231 MiB with CSV output (22 s).
 MAX_GRID_POINTS = 2 ** 22
 
 
@@ -160,16 +160,17 @@ def test_vector(r, array, k):
     return w / np.linalg.norm(w)
 
 
-def _steering_block(points, array, k, steering):
+def _steering_block(points, array, k, steering, table):
     """Unit steering vectors for a block of points, shape (npts, N).
 
     Returns (vectors, excluded) where excluded flags points coinciding
     with an antenna; those rows carry placeholder values and the map sets
     them to zero, honoring the grid rule that antenna positions are not
-    search points.
+    search points.  table is the map's H_0^(1) table (Hankel steering).
     """
     if steering == STEERING_HANKEL:
-        w, excluded = em.incident_field_many(points, array.positions, k, exclude_coincident=True)
+        w, excluded = em.incident_field_many(points, array.positions, k, exclude_coincident=True,
+                                             table=table)
     elif steering == STEERING_PLANE_WAVE:
         phases = points @ array.directions.T  # (npts, N) of theta_n . r
         w = np.exp(-1j * k.k * phases)
@@ -186,16 +187,34 @@ def _grid_points(grid):
     return np.stack([gx.ravel(), gy.ravel()], axis=1)
 
 
+def _hankel_table(grid, array, k):
+    """One H_0^(1)(k d) table for every grid-to-antenna distance of a map.
+
+    Distance to an antenna is convex over the grid rectangle, so its
+    largest value is at the farthest corner and its smallest at the
+    antenna clamped into the rectangle.  The size rule sees the whole
+    map's distances.
+    """
+    xs, ys = grid.x_axis(), grid.y_axis()
+    low, high = np.array([xs[0], ys[0]]), np.array([xs[-1], ys[-1]])
+    pos = array.positions
+    far = np.maximum(np.abs(pos - low), np.abs(pos - high))
+    near = np.clip(pos, low, high) - pos
+    return specfun.hankel1_0_table(k.k, np.hypot(*near.T).min(), np.hypot(*far.T).max(),
+                                   xs.size * ys.size * array.count)
+
+
 def _projection_map(decomp, grid, array, k, m_used, steering):
     u = decomp.left_vectors[:, :m_used]
     v = decomp.right_vectors[:, :m_used]
     pts = _grid_points(grid)
     nx, ny = grid.shape
+    table = _hankel_table(grid, array, k) if steering == STEERING_HANKEL else None
     vals = np.empty(pts.shape[0], dtype=float)
     block = _CHUNK_ROWS * ny
     for lo in range(0, pts.shape[0], block):
         hi = min(lo + block, pts.shape[0])
-        w, excluded = _steering_block(pts[lo:hi], array, k, steering)
+        w, excluded = _steering_block(pts[lo:hi], array, k, steering, table)
         a = w.conj() @ u
         b = w.conj() @ v.conj()
         chunk = np.abs(np.sum(a * b, axis=1))

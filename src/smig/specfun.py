@@ -18,17 +18,19 @@ as a 1-element batch and unwrapped):
   * The truncated Jacobi-Anger sum J_0(x) + 2 sum i^s J_s(x) cos(s theta)
     is evaluated for a batch of points and angles from one Miller batch.
   * Bulk H_0^(1)(k d) over many real distances d at one k, the imaging
-    sweep (hankel1_0_distances): for fixed k the function is smooth in d
-    away from d = 0, so a piecewise Chebyshev table over the call's own
-    distance range, built from hankel1_0 at the nodes and evaluated by
-    Clenshaw, costs about a tenth of the exact path per distance.
-    Segments are 0.4 rad wide in |k| d, degree 16.  Below |k| d = 0.4 the
-    log singularity at d = 0 is too close for the table and hankel1_0 is
-    used; at that floor the first segment's centre is 3 half-widths from
-    the singularity, so it converges like (3 + sqrt 8)^-16.  A call with
-    fewer than 4 distances per node stays exact: its node evaluations
-    would cost more than the table saves.  hankel1_0 remains the
-    reference; the table agrees with it to about 1e-13 relative.
+    sweep: for fixed k the function is smooth in d away from d = 0, so a
+    piecewise Chebyshev table, built from hankel1_0 at the nodes
+    (hankel1_0_table) and evaluated by Clenshaw (DistanceTable), costs
+    about a tenth of the exact path per distance.  The imaging sweep
+    builds one table per map over the grid's whole distance range and
+    reads it chunk by chunk; hankel1_0_distances tabulates one call's own
+    range.  Segments are 0.05 rad wide in |k| d, degree 7.  Below
+    |k| d = 0.4 the log singularity at d = 0 is too close for the table
+    and hankel1_0 is used; at that floor the first segment's centre is 17
+    half-widths from the singularity.  A table serving fewer than 4
+    distances per node is not built: its node evaluations would cost more
+    than it saves.  hankel1_0 remains the reference; the table agrees
+    with it to about 1e-13 relative.
 """
 
 import math
@@ -278,11 +280,12 @@ def hankel1_sequence(z, s_max):
 
 
 # Segment width in |k| d, radians.  With the floor below, the nearest
-# singularity (d = 0) sits 3 half-widths from the first segment's centre.
-_TABLE_SEGMENT = 0.4
-# Chebyshev degree per segment: (3 + sqrt 8)^-16 ~ 5e-13 on the first
-# segment, ~1e-13 measured against hankel1_0 at lossy and lossless k.
-_TABLE_DEGREE = 16
+# singularity (d = 0) sits 17 half-widths from the first segment's centre.
+_TABLE_SEGMENT = 0.05
+# Chebyshev degree per segment.  Measured against hankel1_0 over |k| d in
+# [0.4, 40] at lossy and lossless k: degree 7 stays at hankel1_0's own
+# ~1e-13 (8.5e-14 at the floor); degree 6 reaches 3.4e-12 at the floor.
+_TABLE_DEGREE = 7
 # Below this |k| d the log singularity defeats the table; those distances
 # (a few per mille of an imaging grid) go to hankel1_0.
 _TABLE_FLOOR = 0.4
@@ -292,59 +295,92 @@ _TABLE_FLOOR = 0.4
 _TABLE_MIN_RATIO = 4
 
 
+@dataclass(frozen=True, eq=False)
+class DistanceTable:
+    """H_0^(1)(k d) for real distances d: Chebyshev table on [lo, hi], hankel1_0 elsewhere.
+
+    Built by hankel1_0_table.  coef holds one row per Chebyshev order and
+    one column per segment; a table with no segments sends every distance
+    to hankel1_0.  Distances outside [lo, hi] (below the floor, d = 0, NaN)
+    always take hankel1_0, so its errors are unchanged.
+    """
+
+    k: complex
+    lo: float
+    hi: float
+    coef: np.ndarray
+
+    def __call__(self, d):
+        d = np.asarray(d, dtype=float)
+        n, segments = self.coef.shape
+        if not segments:
+            return hankel1_0(self.k * d)
+        tabulated = (d >= self.lo) & (d <= self.hi)
+        # Clenshaw over each distance's segment; the other distances are
+        # evaluated at lo and overwritten with their exact values.
+        u = np.where(tabulated, (d - self.lo) / ((self.hi - self.lo) / segments), 0.0)
+        seg = np.minimum(u.astype(np.intp), segments - 1)
+        t = 2.0 * (u - seg) - 1.0
+        t2 = 2.0 * t
+        coef = self.coef
+        b1 = coef[n - 1][seg]
+        b2 = np.zeros_like(b1)
+        work = np.empty_like(b1)
+        for m in range(n - 2, 0, -1):
+            # b_m = c_m + 2t b_{m+1} - b_{m+2} in place; the three buffers rotate.
+            np.multiply(t2, b1, out=work)
+            work -= b2
+            work += coef[m][seg]
+            b1, b2, work = work, b1, b2
+        out = coef[0][seg] + t * b1 - b2
+        rest = ~tabulated
+        if rest.any():
+            out[rest] = hankel1_0(self.k * d[rest])
+        return out
+
+
+def hankel1_0_table(k, lo, hi, count):
+    """Table of H_0^(1)(k d) for `count` distances d in [lo, hi], lo raised to the floor.
+
+    Segments are _TABLE_SEGMENT wide in |k| d, with first-kind Chebyshev
+    nodes from one hankel1_0 call and coefficients by a cosine transform.
+    The table has no segments (every distance exact) when the range is
+    empty, NaN or past MAX_ARGUMENT, or when count is below
+    _TABLE_MIN_RATIO distances per node: the nodes would cost more than
+    the table saves.
+    """
+    ak = abs(k)
+    lo = max(float(lo), _TABLE_FLOOR / ak)
+    hi = float(hi)
+    n = _TABLE_DEGREE + 1
+    segments = 0
+    if lo < hi and ak * hi <= MAX_ARGUMENT:  # else empty, NaN or out of range
+        segments = math.ceil(ak * (hi - lo) / _TABLE_SEGMENT)
+    if not segments or count < _TABLE_MIN_RATIO * segments * n:
+        return DistanceTable(k, lo, hi, np.empty((n, 0), dtype=complex))
+    angles = np.pi * (np.arange(n) + 0.5) / n
+    width = (hi - lo) / segments
+    nodes = lo + width * (np.arange(segments)[:, None] + 0.5 * (1.0 + np.cos(angles)))
+    transform = (2.0 / n) * np.cos(np.outer(angles, np.arange(n)))
+    transform[:, 0] *= 0.5
+    coef = (hankel1_0(k * nodes) @ transform).T.copy()  # (n, segments)
+    return DistanceTable(k, lo, hi, coef)
+
+
 def hankel1_0_distances(k, d):
     """H_0^(1)(k d) for an array of real distances d >= 0 at one wavenumber k.
 
-    Bulk kernel of the imaging sweep.  Distances with |k| d >= 0.4 are
-    read from a piecewise Chebyshev table over this call's range (built
-    from hankel1_0 at the nodes, evaluated by Clenshaw); the rest, and
-    every call with too few distances to pay for the nodes, go straight
-    to hankel1_0, which also raises for d = 0 or |k d| > MAX_ARGUMENT.
+    The table over this call's own tabulated range, evaluated once: see
+    hankel1_0_table for when it pays and DistanceTable for which distances
+    go straight to hankel1_0 (which raises for d = 0 or |k d| > MAX_ARGUMENT).
     Agrees with hankel1_0(k * d) to ~1e-13 relative, or to |k d| * eps
     (the rounding sensitivity of the argument itself) where that is larger.
     """
     d = np.asarray(d, dtype=float)
-    ak = abs(k)
-    tabulated = d >= _TABLE_FLOOR / ak
-    count = np.count_nonzero(tabulated)
+    tabulated = d >= _TABLE_FLOOR / abs(k)
     hi = d.max(initial=0.0)
-    if not ak * hi <= MAX_ARGUMENT:  # out of range or NaN: the exact path decides
-        return hankel1_0(k * d)
     lo = d.min(initial=hi, where=tabulated)
-    segments = max(1, math.ceil(ak * (hi - lo) / _TABLE_SEGMENT))
-    n = _TABLE_DEGREE + 1
-    if hi == lo or count < _TABLE_MIN_RATIO * segments * n:
-        return hankel1_0(k * d)
-    width = (hi - lo) / segments
-
-    # Nodes: first-kind Chebyshev points of every segment; one exact call
-    # covers them and the distances below the floor.
-    angles = np.pi * (np.arange(n) + 0.5) / n
-    nodes = lo + width * (np.arange(segments)[:, None] + 0.5 * (1.0 + np.cos(angles)))
-    near = d[~tabulated]
-    exact = hankel1_0(k * np.concatenate([nodes.ravel(), near]))
-    transform = (2.0 / n) * np.cos(np.outer(angles, np.arange(n)))
-    transform[:, 0] *= 0.5
-    coef = (exact[: nodes.size].reshape(segments, n) @ transform).T.copy()  # (n, segments)
-
-    # Clenshaw over each distance's segment; distances below the floor are
-    # clipped onto the first segment and overwritten with their exact values.
-    u = np.maximum((d - lo) / width, 0.0)
-    seg = np.minimum(u.astype(np.intp), segments - 1)
-    t = 2.0 * (u - seg) - 1.0
-    t2 = 2.0 * t
-    b1 = coef[n - 1][seg]
-    b2 = np.zeros_like(b1)
-    work = np.empty_like(b1)
-    for m in range(n - 2, 0, -1):
-        # b_m = c_m + 2t b_{m+1} - b_{m+2} in place; the three buffers rotate.
-        np.multiply(t2, b1, out=work)
-        work -= b2
-        work += coef[m][seg]
-        b1, b2, work = work, b1, b2
-    out = coef[0][seg] + t * b1 - b2
-    out[~tabulated] = exact[nodes.size :]
-    return out
+    return hankel1_0_table(k, lo, hi, np.count_nonzero(tabulated))(d)
 
 
 def _jacobi_anger_terms(x, theta, s_max):

@@ -35,15 +35,13 @@ class ValidityMarginWarning(UserWarning):
 
 @dataclass(frozen=True)
 class StructureConfig:
-    """Truncation, optional artifact centers, and the wavenumber convention."""
+    """Truncation and optional artifact centers."""
 
     trunc: SeriesTruncation = SeriesTruncation()
     artifact_locations: tuple = ()
-    use_lossless_k: bool = True
 
     def with_artifacts(self, locations):
-        return StructureConfig(self.trunc, tuple(np.asarray(p, float) for p in locations),
-                               self.use_lossless_k)
+        return StructureConfig(self.trunc, tuple(np.asarray(p, float) for p in locations))
 
 
 def _harmonic_terms(k_real, angles, r, r_center, trunc):

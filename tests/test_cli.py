@@ -152,6 +152,14 @@ def test_bad_input_is_one_line_error(tmp_path, capsys, overrides):
     assert _one_line_error(err), err
 
 
+def test_antenna_count_over_bound_is_one_line_error(tmp_path, capsys):
+    # 10^5 antennas would ask for a 160 GB matrix before any check ran.
+    rc = main(["spectrum", "--out", str(tmp_path), "--override", "array.count=100000"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert _one_line_error(err) and err.startswith("error: ConfigError: array: "), err
+
+
 def test_config_file_with_stray_bytes_is_one_line_error(tmp_path, capsys):
     path = tmp_path / "run.cfg"
     path.write_bytes(b"medium.frequency_hz = 1e9\xff\n")

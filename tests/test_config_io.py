@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from smig import config as cfgmod
 from smig import fileio, forward, imaging
-from smig.errors import ConfigError, DataError, SmigError
+from smig.errors import ConfigError, DataError, DomainError, SmigError
 
 
 def test_empty_config_gives_table_defaults():
@@ -76,6 +76,21 @@ def test_enum_keys_take_the_consumer_tuple(key, allowed):
 def test_parse_rejects_through_domain_constructors(override):
     with pytest.raises(SmigError):
         cfgmod.apply_overrides(cfgmod.RunConfig(), [override])
+
+
+@pytest.mark.parametrize("overrides, error, prefix", [
+    (["anomaly.2.radius_m=-0.01"], ConfigError, "anomaly.2: anomaly needs"),
+    (["grid.x_min_m=nan"], ConfigError, "grid: grid needs"),
+    (["array.count=1"], ConfigError, "array: antenna count"),
+    (["medium.frequency_hz=1e300"], DomainError, "medium: wavenumber overflows"),
+])
+def test_range_errors_name_their_block(overrides, error, prefix):
+    # Two anomaly blocks with only the second one bad: the message names it.
+    base = cfgmod.apply_overrides(cfgmod.RunConfig(), ["anomaly.2.center_x_m=-0.02"])
+    with pytest.raises(SmigError) as exc:
+        cfgmod.apply_overrides(base, overrides)
+    assert type(exc.value) is error
+    assert str(exc.value).startswith(prefix)
 
 
 def test_fixed_rank_contradicts_zero_diagonal():

@@ -76,6 +76,12 @@ def test_antenna_count_too_small():
         em.antenna_array(1, 0.09)
 
 
+def test_antenna_count_bound():
+    assert em.antenna_array(em.MAX_ANTENNAS, 0.09).positions.shape == (em.MAX_ANTENNAS, 2)
+    with pytest.raises(ConfigError, match="antenna count"):
+        em.antenna_array(em.MAX_ANTENNAS + 1, 0.09)
+
+
 @given(
     dx=st.floats(min_value=-0.2, max_value=0.2), dy=st.floats(min_value=-0.2, max_value=0.2),
     rx=st.floats(min_value=-0.2, max_value=0.2), ry=st.floats(min_value=-0.2, max_value=0.2),

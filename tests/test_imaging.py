@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smig import em, forward, imaging
+from smig import em, forward, imaging, specfun
 from smig.errors import ConfigError, DataError, KindError, RankError, SingularityError
 from smig.forward import KIND_FULL, ScatteringMatrix
 from smig.imaging import ImagingGrid, RankPolicy
@@ -444,3 +444,71 @@ def test_map_values_finite_nonnegative_and_zero_on_antennas(
         assert np.all(np.isfinite(image.values))
         assert np.all(image.values >= 0)
         assert np.all(image.values[on_antenna] == 0.0)
+
+
+def _exact_steering(grid, array, k):
+    """Rows of imaging.test_vector, the exact per-point path; zero rows on antennas."""
+    rows = []
+    for r in imaging._grid_points(grid):
+        try:
+            rows.append(imaging.test_vector(r, array, k))
+        except SingularityError:
+            rows.append(np.zeros(array.count, dtype=complex))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("grid, lo_kd", [
+    # Surrounds the array, 4 antennas on it: the table starts at the floor.
+    (ImagingGrid(-0.1, 0.1, -0.1, 0.1, 0.005), specfun._TABLE_FLOOR),
+    # Off to one side: the nearest antenna, clamped into the rectangle, sets lo.
+    (ImagingGrid(0.1, 0.2, -0.2, -0.1, 0.0025), 4.85),
+], ids=["on_grid_antennas", "offset"])
+def test_map_table_matches_test_vector_projection(contaminated_fixture, paper_array, paper_k,
+                                                  grid, lo_kd):
+    # One table per map serves every chunk; each value matches the exact path.
+    table = imaging._hankel_table(grid, paper_array, paper_k)
+    assert table.coef.shape[1] > 0 and abs(paper_k.k) * table.lo >= lo_kd
+    w = _exact_steering(grid, paper_array, paper_k).conj()
+    zero_diag = imaging.zero_diagonal(contaminated_fixture)
+    for image, data, m in (
+        (imaging.image_diag(zero_diag, grid, paper_array, paper_k), zero_diag, 1),
+        (imaging.image_full(contaminated_fixture, grid, paper_array, paper_k,
+                            RankPolicy(mode="fixed", fixed_m=3)), contaminated_fixture, 3),
+    ):
+        d = imaging.svd(data)
+        u, v = d.left_vectors[:, :m], d.right_vectors[:, :m]
+        ref = np.abs(np.sum((w @ u) * (w @ v.conj()), axis=1)).reshape(grid.shape)
+        assert np.all(np.abs(image.values - ref) <= 1e-12 * ref)
+
+
+def test_one_table_per_map(monkeypatch, contaminated_fixture, paper_array, paper_k, coarse_grid):
+    builds = []
+    build = specfun.hankel1_0_table
+
+    def counted(*args):
+        builds.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(specfun, "hankel1_0_table", counted)
+    assert coarse_grid.shape[0] > imaging._CHUNK_ROWS  # several chunks
+    imaging.image_diag(imaging.zero_diagonal(contaminated_fixture), coarse_grid, paper_array,
+                       paper_k)
+    assert len(builds) == 1
+    imaging.image_full(contaminated_fixture, coarse_grid, paper_array, paper_k)
+    assert len(builds) == 2
+
+
+@pytest.mark.parametrize("step, exact", [(0.05, True), (0.005, False)])
+def test_map_size_rule_keeps_small_grids_exact(monkeypatch, contaminated_fixture, paper_array,
+                                               paper_k, step, exact):
+    # The size rule sees the whole map's distances: a grid under it is bit for
+    # bit the map with the table switched off; a grid over it takes the table.
+    grid = ImagingGrid(-0.1, 0.1, -0.1, 0.1, step)
+    data = imaging.zero_diagonal(contaminated_fixture)
+    got = imaging.image_diag(data, grid, paper_array, paper_k).values
+    no_segments = np.empty((specfun._TABLE_DEGREE + 1, 0), dtype=complex)
+    monkeypatch.setattr(specfun, "hankel1_0_table",
+                        lambda k, lo, hi, count: specfun.DistanceTable(k, lo, hi, no_segments))
+    off = imaging.image_diag(data, grid, paper_array, paper_k).values
+    assert np.array_equal(got, off) == exact
+    assert np.all(np.abs(got - off) <= 1e-12 * off.max())

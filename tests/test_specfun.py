@@ -222,7 +222,7 @@ def test_distance_table_matches_hankel1_0(k):
     # and of the |z| = 25 switch, with enough distances for the table.
     floor = specfun._TABLE_FLOOR
     edges = floor * np.array([1 - 1e-3, 1 - 1e-9, 1 + 1e-9, 1 + 1e-3])
-    kd = np.concatenate([edges, np.linspace(floor, 40.0, 20001), [24.999, 25.001]])
+    kd = np.concatenate([edges, np.linspace(floor, 40.0, 40001), [24.999, 25.001]])
     d = kd / abs(k)
     got = specfun.hankel1_0_distances(k, d)
     ref = hankel1_0(k * d)
@@ -244,6 +244,22 @@ def test_distance_table_size_rule_boundary(k):
     assert not np.array_equal(got_over, hankel1_0(k * over))  # table
     shared = np.delete(got_over, needed // 2)
     assert np.all(np.abs(shared - got_under) <= 1e-12 * np.abs(got_under))
+
+
+@pytest.mark.parametrize("k", _TABLE_KS, ids=["lossy", "lossless"])
+def test_distance_table_over_explicit_range(k):
+    # One table over [lo, hi], evaluated in pieces as the imaging sweep does:
+    # inside the range it agrees with hankel1_0, outside it (below the floor,
+    # past hi) every distance takes hankel1_0 bit for bit.
+    lo, hi = 0.3 / abs(k), 30.0 / abs(k)
+    table = specfun.hankel1_0_table(k, lo, hi, 10 ** 6)
+    assert table.coef.shape[1] > 0 and table.lo == specfun._TABLE_FLOOR / abs(k)
+    d = np.linspace(lo, hi, 30001)
+    for piece in np.array_split(d, 7):
+        ref = hankel1_0(k * piece)
+        assert np.all(np.abs(table(piece) - ref) <= 1e-12 * np.abs(ref))
+    outside = np.array([0.1, 0.35, 30.5, 40.0]) / abs(k)
+    assert np.array_equal(table(outside), hankel1_0(k * outside))
 
 
 def test_distance_table_keeps_exact_errors():
