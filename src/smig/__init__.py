@@ -42,6 +42,7 @@ from .structure import (
     psi1,
     structure_diag,
     structure_full,
+    validate,
     validate_diag_identity,
 )
 

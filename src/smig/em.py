@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DomainError, SingularityError
-from .specfun import hankel1_0, hankel1_0_distances
+from .specfun import hankel1_0
 
 VACUUM_PERMITTIVITY = 8.8541878128e-12  # F/m
 VACUUM_PERMEABILITY = 4e-7 * math.pi  # H/m
@@ -78,9 +78,9 @@ class AntennaArray:
 
 
 # Largest antenna count an array may have.  The N x N matrices and their SVD
-# grow as N^2 and N^3, and the imaging sweep's chunks as N.  At 1024 antennas
-# (Table-1 scenario, 2-vCPU VM) `smig spectrum` takes 1.9 s and peaks at
-# 174 MiB RSS; `smig image --format pgm` takes 12 s and peaks at 598 MiB.
+# grow as N^2 and N^3 (the imaging sweep's chunks hold a fixed distance count).
+# At 1024 antennas (Table-1 scenario, 2-vCPU VM) `smig spectrum` takes 1.9 s
+# and peaks at 174 MiB RSS; `smig image --format pgm` takes 8 s and 190 MiB.
 MAX_ANTENNAS = 1024
 
 
@@ -142,34 +142,28 @@ def incident_field(d, r, k):
     return -0.25j * hankel1_0(k.k * dist)
 
 
-def incident_field_many(points, positions, k, exclude_coincident=False, table=None):
-    """Incident field from every antenna to every point, shape (npts, N).
+def incident_field_many(points, positions, k, table=None):
+    """Incident field from every antenna to every point, and the coincident points.
 
-    Bulk path used by the imaging grid sweep.  H_0^(1)(k d) comes from
-    table, a specfun.DistanceTable for k.k that the sweep builds once per
-    map over the whole grid's distance range, or without one from
-    hankel1_0_distances over this call's own range.  A point within
-    COINCIDENCE_RTOL times the array scale (the largest antenna distance
-    from the origin) of an antenna coincides with it; rounding leaves
-    on-grid antennas ~1e-17 m off their grid point, so an exact zero test
-    would miss them.  Coincidence raises, unless exclude_coincident is
-    set, in which case the return value is (fields, bad_rows) and the
-    caller is expected to drop the flagged points.  Their distance is
-    replaced by the call's largest, which keeps them out of the exact
-    path and inside the table's range.
+    Returns (fields, coincident): fields has shape (npts, N); coincident,
+    shape (npts,), flags the points within COINCIDENCE_RTOL times the array
+    scale (the largest antenna distance from the origin) of an antenna.
+    Rounding leaves on-grid antennas ~1e-17 m off their grid point, so an
+    exact zero test would miss them.  A flagged point's row holds
+    placeholder values for the caller to drop or reject: its coincident
+    distances are replaced by the call's largest, which keeps them off the
+    singularity and inside the table's range.  H_0^(1)(k d) comes from
+    table, a specfun.DistanceTable for k.k that the imaging sweep builds
+    once per map, or from hankel1_0 without one.
     """
     points = np.asarray(points, dtype=float)
     diff = points[:, None, :] - positions[None, :, :]
     dist = np.hypot(diff[..., 0], diff[..., 1])
     bad = _coincident(dist, np.hypot(positions[:, 0], positions[:, 1]).max())
     if bad.any():
-        if not exclude_coincident:
-            raise SingularityError("a search point coincides with an antenna position")
         dist = np.where(bad, dist.max(), dist)
-    w = -0.25j * (hankel1_0_distances(k.k, dist) if table is None else table(dist))
-    if exclude_coincident:
-        return w, bad.any(axis=1)
-    return w
+    w = -0.25j * (hankel1_0(k.k * dist) if table is None else table(dist))
+    return w, bad.any(axis=1)
 
 
 def smallness_index(anomaly_radius, eps_star, medium):

@@ -12,21 +12,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import em, specfun
-from .errors import ConfigError, DataError, KindError, RankError
+from .errors import ConfigError, DataError, KindError, RankError, SingularityError
 from .forward import KIND_FULL, KIND_ZERO_DIAGONAL, ScatteringMatrix
 
 STEERING_HANKEL = "hankel"
 STEERING_PLANE_WAVE = "plane_wave"
 
-_CHUNK_ROWS = 16
+# Grid-to-antenna distances per steering chunk, whatever the grid or antenna
+# count: 16 rows of the 201-point Table-1 grid times 16 antennas.
+_CHUNK_DISTANCES = 16 * 201 * 16
 
 RANK_MODES = ("relative_threshold", "fixed")
 
 # Largest grid an ImagingGrid may describe: 2^22 points, 26 times the 401^2
-# large case.  The steering sweep runs in _CHUNK_ROWS blocks, so memory grows
-# with the points only through the coordinate, value and output arrays: at
-# 2047^2 points (Table-1 scenario, 2-vCPU VM) `smig image` peaks at 212 MiB
-# RSS with PGM output (14 s) and 231 MiB with CSV output (22 s).
+# large case.  The steering sweep runs in _CHUNK_DISTANCES chunks, so memory
+# grows with the points only through the coordinate, value and output arrays:
+# at 2047^2 points (Table-1 scenario, 2-vCPU VM) `smig image` peaks at
+# 167 MiB RSS with PGM output (11 s) and 231 MiB with CSV output (17 s).
 MAX_GRID_POINTS = 2 ** 22
 
 
@@ -154,10 +156,15 @@ def select_rank(svd_result, policy):
 
 
 def test_vector(r, array, k):
-    """Unit steering vector of line-source fields from every antenna to r."""
+    """Unit steering vector of line-source fields from every antenna to r.
+
+    The exact (hankel1_0) reference for the map's steering; raises on an antenna.
+    """
     r = np.asarray(r, dtype=float)
-    w = em.incident_field_many(r[None, :], array.positions, k)[0]
-    return w / np.linalg.norm(w)
+    w, coincident = em.incident_field_many(r[None, :], array.positions, k)
+    if coincident[0]:
+        raise SingularityError("a search point coincides with an antenna position")
+    return w[0] / np.linalg.norm(w[0])
 
 
 def _steering_block(points, array, k, steering, table):
@@ -169,8 +176,7 @@ def _steering_block(points, array, k, steering, table):
     search points.  table is the map's H_0^(1) table (Hankel steering).
     """
     if steering == STEERING_HANKEL:
-        w, excluded = em.incident_field_many(points, array.positions, k, exclude_coincident=True,
-                                             table=table)
+        w, excluded = em.incident_field_many(points, array.positions, k, table=table)
     elif steering == STEERING_PLANE_WAVE:
         phases = points @ array.directions.T  # (npts, N) of theta_n . r
         w = np.exp(-1j * k.k * phases)
@@ -208,10 +214,9 @@ def _projection_map(decomp, grid, array, k, m_used, steering):
     u = decomp.left_vectors[:, :m_used]
     v = decomp.right_vectors[:, :m_used]
     pts = _grid_points(grid)
-    nx, ny = grid.shape
     table = _hankel_table(grid, array, k) if steering == STEERING_HANKEL else None
     vals = np.empty(pts.shape[0], dtype=float)
-    block = _CHUNK_ROWS * ny
+    block = max(1, _CHUNK_DISTANCES // array.count)
     for lo in range(0, pts.shape[0], block):
         hi = min(lo + block, pts.shape[0])
         w, excluded = _steering_block(pts[lo:hi], array, k, steering, table)
@@ -220,7 +225,7 @@ def _projection_map(decomp, grid, array, k, m_used, steering):
         chunk = np.abs(np.sum(a * b, axis=1))
         chunk[excluded] = 0.0
         vals[lo:hi] = chunk
-    return vals.reshape(nx, ny)
+    return vals.reshape(grid.shape)
 
 
 def image_full(s_matrix, grid, array, k, policy=RankPolicy(), steering=STEERING_HANKEL):

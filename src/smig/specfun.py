@@ -23,14 +23,13 @@ as a 1-element batch and unwrapped):
     (hankel1_0_table) and evaluated by Clenshaw (DistanceTable), costs
     about a tenth of the exact path per distance.  The imaging sweep
     builds one table per map over the grid's whole distance range and
-    reads it chunk by chunk; hankel1_0_distances tabulates one call's own
-    range.  Segments are 0.05 rad wide in |k| d, degree 7.  Below
-    |k| d = 0.4 the log singularity at d = 0 is too close for the table
-    and hankel1_0 is used; at that floor the first segment's centre is 17
-    half-widths from the singularity.  A table serving fewer than 4
-    distances per node is not built: its node evaluations would cost more
-    than it saves.  hankel1_0 remains the reference; the table agrees
-    with it to about 1e-13 relative.
+    reads it chunk by chunk.  Segments are 0.05 rad wide in |k| d,
+    degree 7.  Below |k| d = 0.4 the log singularity at d = 0 is too
+    close for the table and hankel1_0 is used; at that floor the first
+    segment's centre is 17 half-widths from the singularity.  A table
+    serving fewer than 4 distances per node is not built: its node
+    evaluations would cost more than it saves.  hankel1_0 remains the
+    reference; the table agrees with it to about 1e-13 relative.
 """
 
 import math
@@ -365,22 +364,6 @@ def hankel1_0_table(k, lo, hi, count):
     transform[:, 0] *= 0.5
     coef = (hankel1_0(k * nodes) @ transform).T.copy()  # (n, segments)
     return DistanceTable(k, lo, hi, coef)
-
-
-def hankel1_0_distances(k, d):
-    """H_0^(1)(k d) for an array of real distances d >= 0 at one wavenumber k.
-
-    The table over this call's own tabulated range, evaluated once: see
-    hankel1_0_table for when it pays and DistanceTable for which distances
-    go straight to hankel1_0 (which raises for d = 0 or |k d| > MAX_ARGUMENT).
-    Agrees with hankel1_0(k * d) to ~1e-13 relative, or to |k d| * eps
-    (the rounding sensitivity of the argument itself) where that is larger.
-    """
-    d = np.asarray(d, dtype=float)
-    tabulated = d >= _TABLE_FLOOR / abs(k)
-    hi = d.max(initial=0.0)
-    lo = d.min(initial=hi, where=tabulated)
-    return hankel1_0_table(k, lo, hi, np.count_nonzero(tabulated))(d)
 
 
 def _jacobi_anger_terms(x, theta, s_max):

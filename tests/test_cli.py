@@ -4,7 +4,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from smig import config as cfgmod
-from smig import fileio, forward
+from smig import fileio, forward, structure
 from smig.cli import main
 
 FAST = [
@@ -40,6 +40,19 @@ def test_validate_reports_small_deviation(capsys):
     spread = float(out.split("ratio_spread=")[1].split()[0])
     assert deviation <= 1e-8
     assert spread <= 1e-6
+
+
+def test_validate_evaluates_the_series_once(monkeypatch):
+    calls = []
+    series = structure.structure_diag
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return series(*args, **kwargs)
+
+    monkeypatch.setattr(structure, "structure_diag", counted)
+    assert main(["validate"]) == 0
+    assert len(calls) == 1
 
 
 def test_spectrum_writes_file(tmp_path, capsys):

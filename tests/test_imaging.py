@@ -481,7 +481,7 @@ def test_map_table_matches_test_vector_projection(contaminated_fixture, paper_ar
         assert np.all(np.abs(image.values - ref) <= 1e-12 * ref)
 
 
-def test_one_table_per_map(monkeypatch, contaminated_fixture, paper_array, paper_k, coarse_grid):
+def test_one_table_per_map(monkeypatch, contaminated_fixture, paper_array, paper_k):
     builds = []
     build = specfun.hankel1_0_table
 
@@ -490,12 +490,34 @@ def test_one_table_per_map(monkeypatch, contaminated_fixture, paper_array, paper
         return build(*args)
 
     monkeypatch.setattr(specfun, "hankel1_0_table", counted)
-    assert coarse_grid.shape[0] > imaging._CHUNK_ROWS  # several chunks
-    imaging.image_diag(imaging.zero_diagonal(contaminated_fixture), coarse_grid, paper_array,
-                       paper_k)
+    grid = ImagingGrid(-0.1, 0.1, -0.1, 0.1, 0.002)
+    nx, ny = grid.shape
+    assert nx * ny * paper_array.count > 3 * imaging._CHUNK_DISTANCES  # several chunks
+    imaging.image_diag(imaging.zero_diagonal(contaminated_fixture), grid, paper_array, paper_k)
     assert len(builds) == 1
-    imaging.image_full(contaminated_fixture, coarse_grid, paper_array, paper_k)
+    imaging.image_full(contaminated_fixture, grid, paper_array, paper_k)
     assert len(builds) == 2
+
+
+def test_sweep_chunks_keep_the_distance_budget(monkeypatch, small_anomaly, paper_medium, paper_k,
+                                               default_grid):
+    # The chunk size follows the antenna count: at 64 antennas a chunk of
+    # whole grid rows would hold four times the distances of the 16-antenna
+    # default.
+    array = em.antenna_array(64, 0.09)
+    data = imaging.zero_diagonal(forward.born_smatrix(array, [small_anomaly], paper_medium))
+    chunks = []
+    many = em.incident_field_many
+
+    def counted(points, positions, *args, **kwargs):
+        chunks.append(len(points) * len(positions))
+        return many(points, positions, *args, **kwargs)
+
+    monkeypatch.setattr(em, "incident_field_many", counted)
+    imaging.image_diag(data, default_grid, array, paper_k)
+    nx, ny = default_grid.shape
+    assert sum(chunks) == nx * ny * array.count
+    assert max(chunks) <= imaging._CHUNK_DISTANCES
 
 
 @pytest.mark.parametrize("step, exact", [(0.05, True), (0.005, False)])

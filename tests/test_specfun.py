@@ -224,7 +224,7 @@ def test_distance_table_matches_hankel1_0(k):
     edges = floor * np.array([1 - 1e-3, 1 - 1e-9, 1 + 1e-9, 1 + 1e-3])
     kd = np.concatenate([edges, np.linspace(floor, 40.0, 40001), [24.999, 25.001]])
     d = kd / abs(k)
-    got = specfun.hankel1_0_distances(k, d)
+    got = specfun.hankel1_0_table(k, d.min(), d.max(), d.size)(d)
     ref = hankel1_0(k * d)
     assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
     assert not np.array_equal(got, ref)  # the tabulated path ran
@@ -232,14 +232,14 @@ def test_distance_table_matches_hankel1_0(k):
 
 @pytest.mark.parametrize("k", _TABLE_KS, ids=["lossy", "lossless"])
 def test_distance_table_size_rule_boundary(k):
-    # |k| d over [0.5, 2.3]: 5 segments whatever the count, so the rule's
-    # threshold is known; dropping one interior distance keeps the range.
+    # |k| d over [0.5, 2.3]: the segments do not depend on the count, so the
+    # rule's threshold is known; dropping one interior distance keeps the range.
     needed = (math.ceil(1.8 / specfun._TABLE_SEGMENT) * (specfun._TABLE_DEGREE + 1)
               * specfun._TABLE_MIN_RATIO)
     over = np.linspace(0.5, 2.3, needed) / abs(k)
     under = np.delete(over, needed // 2)
-    got_over = specfun.hankel1_0_distances(k, over)
-    got_under = specfun.hankel1_0_distances(k, under)
+    got_over = specfun.hankel1_0_table(k, over[0], over[-1], over.size)(over)
+    got_under = specfun.hankel1_0_table(k, under[0], under[-1], under.size)(under)
     assert np.array_equal(got_under, hankel1_0(k * under))  # exact path
     assert not np.array_equal(got_over, hankel1_0(k * over))  # table
     shared = np.delete(got_over, needed // 2)
@@ -263,12 +263,17 @@ def test_distance_table_over_explicit_range(k):
 
 
 def test_distance_table_keeps_exact_errors():
+    # With segments or without (the size rule), d = 0 and |k d| past
+    # MAX_ARGUMENT lie outside [lo, hi] and raise from hankel1_0.
     k = _TABLE_KS[0]
     d = np.linspace(0.01, 0.2, 5000)
-    with pytest.raises(SingularityError):
-        specfun.hankel1_0_distances(k, np.append(d, 0.0))
-    with pytest.raises(DomainError):
-        specfun.hankel1_0_distances(k, np.append(d, 2 * specfun.MAX_ARGUMENT / abs(k)))
+    for count, segments in ((d.size, False), (10 ** 6, True)):
+        table = specfun.hankel1_0_table(k, d[0], d[-1], count)
+        assert (table.coef.shape[1] > 0) == segments
+        with pytest.raises(SingularityError):
+            table(np.append(d, 0.0))
+        with pytest.raises(DomainError):
+            table(np.append(d, 2 * specfun.MAX_ARGUMENT / abs(k)))
 
 
 @pytest.mark.parametrize("fn, lead", [

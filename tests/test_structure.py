@@ -141,6 +141,43 @@ def test_validate_identity_subgrid(paper_array, k_real, r_star):
     assert dev <= 1e-8
 
 
+# Criterion 3's points: the 21 x 21 lattice over the default grid.
+_VALIDATE_POINTS = np.array([
+    (x, y) for x in np.linspace(-0.1, 0.1, 21) for y in np.linspace(-0.1, 0.1, 21)
+])
+
+
+@pytest.mark.parametrize("count", [16, 32])
+def test_validate_shares_the_identity_deviation(k_real, r_star, count):
+    array = em.antenna_array(count, 0.09)
+    trunc = SeriesTruncation(64, 1e-10)
+    deviation, _ = structure.validate(_VALIDATE_POINTS, array, k_real, r_star, trunc)
+    assert deviation == structure.validate_diag_identity(_VALIDATE_POINTS, array, k_real, r_star,
+                                                         trunc)
+
+
+@pytest.mark.filterwarnings("ignore::smig.structure.ValidityMarginWarning")
+def test_validate_spread_matches_per_point_series(paper_array, k_real, r_star):
+    # Criterion 3's independent computation: one scalar series call per point.
+    # The batch and scalar series agree to ~3e-17, but the ratio divides by
+    # series values down to 7e-4, so the two spreads (~5e-13 each) agree to
+    # ~1e-14, not to the series' own rounding.
+    pts = _VALIDATE_POINTS
+    trunc = SeriesTruncation(64, 1e-10)
+    _, spread = structure.validate(pts, paper_array, k_real, r_star, trunc)
+    ideal = structure.ideal_plane_wave_matrix(
+        paper_array, k_real, r_star, kind=forward.KIND_ZERO_DIAGONAL
+    )
+    response = structure.migration_response(ideal, paper_array, k_real, pts)
+    series = np.array([
+        structure.structure_diag(p, paper_array, k_real, r_star, StructureConfig(trunc))
+        for p in pts
+    ])
+    keep = series > 1e-9
+    ratios = response[keep] / series[keep]
+    assert abs(spread - float(ratios.max() - ratios.min())) <= 1e-13
+
+
 def test_validate_identity_truncation_failure(paper_array, k_real, r_star):
     r = r_star + np.array([10.0 / k_real, 0.0])
     dev = structure.validate_diag_identity([r], paper_array, k_real, r_star,
