@@ -78,9 +78,10 @@ class AntennaArray:
 
 
 # Largest antenna count an array may have.  The N x N matrices and their SVD
-# grow as N^2 and N^3 (the imaging sweep's chunks hold a fixed distance count).
-# At 1024 antennas (Table-1 scenario, 2-vCPU VM) `smig spectrum` takes 1.9 s
-# and peaks at 174 MiB RSS; `smig image --format pgm` takes 8 s and 190 MiB.
+# grow as N^2 and N^3 (the imaging sweep's chunks in flight hold a fixed
+# distance count).  At 1024 antennas (Table-1 scenario, 2-vCPU VM)
+# `smig spectrum` takes 1.9 s and peaks at 174 MiB RSS; `smig image --format
+# pgm` takes 3.5 s and 190 MiB with two sweep threads.
 MAX_ANTENNAS = 1024
 
 
@@ -157,8 +158,7 @@ def incident_field_many(points, positions, k, table=None):
     once per map, or from hankel1_0 without one.
     """
     points = np.asarray(points, dtype=float)
-    diff = points[:, None, :] - positions[None, :, :]
-    dist = np.hypot(diff[..., 0], diff[..., 1])
+    dist = np.hypot(points[:, 0, None] - positions[:, 0], points[:, 1, None] - positions[:, 1])
     bad = _coincident(dist, np.hypot(positions[:, 0], positions[:, 1]).max())
     if bad.any():
         dist = np.where(bad, dist.max(), dist)

@@ -4,9 +4,16 @@ Two map variants share one projection formula
 |sum_m <W(r), U_m><W(r), conj V_m>|: the full-matrix map sums the M
 dominant singular pairs picked by a rank policy, the diagonal-free map is
 hardwired to the first pair of a zero-diagonal matrix.
+
+The map sweeps the grid in chunks of points on one thread per usable CPU
+(at most _MAX_WORKERS).  Every chunk writes its own slice of the map, so
+the values do not depend on the thread count, and the chunks in flight
+together hold at most _CHUNK_DISTANCES grid-to-antenna distances.
 """
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,17 +25,29 @@ from .forward import KIND_FULL, KIND_ZERO_DIAGONAL, ScatteringMatrix
 STEERING_HANKEL = "hankel"
 STEERING_PLANE_WAVE = "plane_wave"
 
-# Grid-to-antenna distances per steering chunk, whatever the grid or antenna
-# count: 16 rows of the 201-point Table-1 grid times 16 antennas.
-_CHUNK_DISTANCES = 16 * 201 * 16
+# Grid-to-antenna distances held by all steering chunks in flight together,
+# whatever the grid, antenna or thread count: 8 rows of the 201-point
+# Table-1 grid times 16 antennas.  Each thread keeps its own malloc arena,
+# which holds on to about one chunk's temporaries after the sweep: at twice
+# this budget, two threads raised the peak RSS of repeated Table-1
+# `smig image` calls by 2.5 MiB; at this one they lower it by 2.4 MiB.
+_CHUNK_DISTANCES = 8 * 201 * 16
+
+# Most sweep threads per map.  The threads split _CHUNK_DISTANCES, so each
+# added thread shrinks every chunk.  On one thread (2-vCPU VM) the Table-1
+# map takes as long in chunks of 12,864 distances as in 51,456, 10-20%
+# longer in 6,432 (4 threads' share) and 40-60% longer in 3,216: past 4
+# threads, per-call overhead in numpy would eat what more cores add.
+_MAX_WORKERS = 4
 
 RANK_MODES = ("relative_threshold", "fixed")
 
 # Largest grid an ImagingGrid may describe: 2^22 points, 26 times the 401^2
-# large case.  The steering sweep runs in _CHUNK_DISTANCES chunks, so memory
-# grows with the points only through the coordinate, value and output arrays:
-# at 2047^2 points (Table-1 scenario, 2-vCPU VM) `smig image` peaks at
-# 167 MiB RSS with PGM output (11 s) and 231 MiB with CSV output (17 s).
+# large case.  The steering sweep's chunks in flight hold _CHUNK_DISTANCES
+# distances together, so memory grows with the points only through the
+# coordinate, value and output arrays: at 2047^2 points (Table-1 scenario,
+# 2-vCPU VM, two sweep threads) `smig image` peaks at 168 MiB RSS with PGM
+# output (3.7 s) and 233 MiB with CSV output (6.6 s).
 MAX_GRID_POINTS = 2 ** 22
 
 
@@ -183,7 +202,8 @@ def _steering_block(points, array, k, steering, table):
         excluded = np.zeros(points.shape[0], dtype=bool)
     else:
         raise ConfigError("unknown steering kind %r" % (steering,))
-    return w / np.linalg.norm(w, axis=1, keepdims=True), excluded
+    w /= np.linalg.norm(w, axis=1, keepdims=True)
+    return w, excluded
 
 
 def _grid_points(grid):
@@ -210,21 +230,59 @@ def _hankel_table(grid, array, k):
                                    xs.size * ys.size * array.count)
 
 
+def _worker_count():
+    """Sweep threads: the CPUs this process may use, at most _MAX_WORKERS."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, _MAX_WORKERS)
+
+
 def _projection_map(decomp, grid, array, k, m_used, steering):
     u = decomp.left_vectors[:, :m_used]
-    v = decomp.right_vectors[:, :m_used]
+    v_conj = decomp.right_vectors[:, :m_used].conj()
     pts = _grid_points(grid)
     table = _hankel_table(grid, array, k) if steering == STEERING_HANKEL else None
-    vals = np.empty(pts.shape[0], dtype=float)
-    block = max(1, _CHUNK_DISTANCES // array.count)
-    for lo in range(0, pts.shape[0], block):
-        hi = min(lo + block, pts.shape[0])
-        w, excluded = _steering_block(pts[lo:hi], array, k, steering, table)
-        a = w.conj() @ u
-        b = w.conj() @ v.conj()
-        chunk = np.abs(np.sum(a * b, axis=1))
-        chunk[excluded] = 0.0
-        vals[lo:hi] = chunk
+    n = pts.shape[0]
+    vals = np.empty(n, dtype=float)
+    workers = _worker_count()
+    block = max(1, _CHUNK_DISTANCES // (array.count * workers))
+    # A one-point chunk takes BLAS's dot kernel, which rounds differently from
+    # the matrix kernels of larger chunks: a last chunk of one point takes one
+    # more from the chunk before, so no value depends on the thread count.
+    bounds = list(range(0, n, block)) + [n]
+    if len(bounds) > 2 and n - bounds[-2] == 1:
+        bounds[-2] -= 1
+    chunks = iter(zip(bounds[:-1], bounds[1:]))
+    lock = threading.Lock()
+    errors = []
+
+    def sweep():
+        # Takes chunks until none is left or any thread has failed.
+        try:
+            while not errors:
+                with lock:
+                    chunk = next(chunks, None)
+                if chunk is None:
+                    return
+                lo, hi = chunk
+                w, excluded = _steering_block(pts[lo:hi], array, k, steering, table)
+                np.conjugate(w, out=w)
+                part = np.abs(np.sum((w @ u) * (w @ v_conj), axis=1))
+                part[excluded] = 0.0
+                vals[lo:hi] = part
+        except BaseException as exc:  # re-raised in the calling thread, no thread traceback
+            errors.append(exc)
+
+    threads = [threading.Thread(target=sweep, daemon=True) for _ in range(workers - 1)]
+    for thread in threads:
+        thread.start()
+    sweep()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
     return vals.reshape(grid.shape)
 
 

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -6,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smig import em, forward, imaging, specfun
-from smig.errors import ConfigError, DataError, KindError, RankError, SingularityError
+from smig.errors import (ConfigError, DataError, DomainError, KindError, RankError,
+                         SingularityError)
 from smig.forward import KIND_FULL, ScatteringMatrix
 from smig.imaging import ImagingGrid, RankPolicy
 
@@ -518,6 +521,114 @@ def test_sweep_chunks_keep_the_distance_budget(monkeypatch, small_anomaly, paper
     nx, ny = default_grid.shape
     assert sum(chunks) == nx * ny * array.count
     assert max(chunks) <= imaging._CHUNK_DISTANCES
+    # The chunks of all sweep threads share the budget.
+    peak = [0]
+    monkeypatch.setattr(em, "incident_field_many", _in_flight_counter(many, peak))
+    imaging.image_diag(data, default_grid, array, paper_k)
+    assert 0 < peak[0] <= imaging._CHUNK_DISTANCES
+
+
+def _in_flight_counter(many, peak):
+    """Wraps incident_field_many; peak[0] is the most distances in flight at once."""
+    lock = threading.Lock()
+    in_flight = [0]
+
+    def counted(points, positions, *args, **kwargs):
+        with lock:
+            in_flight[0] += len(points) * len(positions)
+            peak[0] = max(peak[0], in_flight[0])
+        try:
+            return many(points, positions, *args, **kwargs)
+        finally:
+            with lock:
+                in_flight[0] -= len(points) * len(positions)
+
+    return counted
+
+
+def test_sweep_threads_under_contention(monkeypatch, small_anomaly, paper_medium, paper_k):
+    # More threads than cores and frequent switches: the chunks in flight
+    # stay within the budget and the map is the single-thread map, also at
+    # the grid's last point, which 4-thread chunks would leave alone.
+    array = em.antenna_array(64, 0.09)
+    data = imaging.zero_diagonal(forward.born_smatrix(array, [small_anomaly], paper_medium))
+    grid = ImagingGrid(-0.1, 0.1, -0.1, 0.1, 0.002)
+    assert grid.shape[0] * grid.shape[1] % _block(array, 4) == 1
+    monkeypatch.setattr(imaging, "_worker_count", lambda: 1)
+    ref = imaging.image_diag(data, grid, array, paper_k).values
+    monkeypatch.setattr(imaging, "_worker_count", lambda: 4)
+    peak = [0]
+    monkeypatch.setattr(em, "incident_field_many", _in_flight_counter(em.incident_field_many, peak))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = imaging.image_diag(data, grid, array, paper_k).values
+    finally:
+        sys.setswitchinterval(interval)
+    assert 0 < peak[0] <= imaging._CHUNK_DISTANCES
+    assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("kind, step", [
+    ("zero_diagonal", 0.001),
+    ("full_rank_3", 0.001),
+    ("zero_diagonal", 0.0005),  # 401 points a row: two-thread chunks split rows
+])
+def test_map_does_not_depend_on_the_thread_count(monkeypatch, contaminated_fixture, paper_array,
+                                                 paper_k, kind, step):
+    grid = ImagingGrid(-0.1, 0.1, -0.1, 0.1, step)
+    if kind == "zero_diagonal":
+        def image():
+            return imaging.image_diag(imaging.zero_diagonal(contaminated_fixture), grid,
+                                      paper_array, paper_k)
+    else:
+        def image():
+            return imaging.image_full(contaminated_fixture, grid, paper_array, paper_k,
+                                      RankPolicy(mode="fixed", fixed_m=3))
+    maps = []
+    for workers in (1, 2):
+        monkeypatch.setattr(imaging, "_worker_count", lambda: workers)
+        maps.append(image().values)
+    splits_rows = _block(paper_array, 2) % grid.shape[1] != 0
+    assert splits_rows == (step == 0.0005)
+    assert np.array_equal(maps[0], maps[1])
+
+
+def _block(array, workers):
+    return imaging._CHUNK_DISTANCES // (array.count * workers)
+
+
+@pytest.mark.parametrize("fails", ["third_call", "first_worker_call"])
+def test_chunk_error_reaches_the_caller(monkeypatch, capfd, contaminated_fixture, paper_array,
+                                        paper_k, default_grid, fails):
+    # A chunk after the first fails, on either thread: the caller gets that
+    # DomainError, and no thread prints a traceback.
+    lock = threading.Lock()
+    calls = []
+    raised = []
+    many = em.incident_field_many
+
+    def failing(*args, **kwargs):
+        with lock:
+            calls.append(threading.current_thread() is threading.main_thread())
+            if fails == "third_call":
+                fail = len(calls) == 3
+            else:
+                fail = not calls[-1] and not raised
+            if fail:
+                raised.append(DomainError("chunk %d" % len(calls)))
+        if fail:
+            raise raised[0]
+        return many(*args, **kwargs)
+
+    monkeypatch.setattr(imaging, "_worker_count", lambda: 2)
+    monkeypatch.setattr(em, "incident_field_many", failing)
+    assert default_grid.shape[0] * default_grid.shape[1] > 3 * _block(paper_array, 2)
+    with pytest.raises(DomainError) as excinfo:
+        imaging.image_diag(imaging.zero_diagonal(contaminated_fixture), default_grid,
+                           paper_array, paper_k)
+    assert excinfo.value is raised[0]
+    assert capfd.readouterr().err == ""
 
 
 @pytest.mark.parametrize("step, exact", [(0.05, True), (0.005, False)])
