@@ -64,12 +64,24 @@ class ComplexWavenumber:
 
 @dataclass(frozen=True, eq=False)
 class AntennaArray:
-    """N antennas on a circle of radius R, angles 3pi/2 - 2pi(n-1)/N."""
+    """N antennas on a circle of radius R, equally spaced: angles 3pi/2 - 2pi(n-1)/N."""
 
     count: int
     radius: float
-    angles: np.ndarray = field(repr=False)
-    positions: np.ndarray = field(repr=False)
+    angles: np.ndarray = field(init=False, repr=False)
+    positions: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if not 2 <= self.count <= MAX_ANTENNAS or self.count % 1:
+            raise ConfigError("antenna count must be a whole number in [2, %d] (imaging needs "
+                              "off-diagonal data), got %r" % (MAX_ANTENNAS, self.count))
+        if not 0 < self.radius < math.inf:
+            raise ConfigError("array radius must be finite and > 0, got %r" % (self.radius,))
+        angles = 3.0 * math.pi / 2.0 - 2.0 * math.pi * np.arange(self.count) / self.count
+        object.__setattr__(self, "radius", float(self.radius))
+        object.__setattr__(self, "angles", angles)
+        object.__setattr__(self, "positions",
+                           self.radius * np.stack([np.cos(angles), np.sin(angles)], axis=1))
 
     @property
     def directions(self):
@@ -86,16 +98,8 @@ MAX_ANTENNAS = 1024
 
 
 def antenna_array(count, radius):
-    """Canonical circular array constructor, 2 <= count <= MAX_ANTENNAS."""
-    if not 2 <= count <= MAX_ANTENNAS:
-        raise ConfigError("antenna count must lie in [2, %d] (imaging needs off-diagonal data), "
-                          "got %d" % (MAX_ANTENNAS, count))
-    if not 0 < radius < math.inf:
-        raise ConfigError("array radius must be finite and > 0, got %r" % (radius,))
-    n = np.arange(count)
-    angles = 3.0 * math.pi / 2.0 - 2.0 * math.pi * n / count
-    positions = radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    return AntennaArray(count=count, radius=float(radius), angles=angles, positions=positions)
+    """Canonical circular array constructor: AntennaArray(count, radius)."""
+    return AntennaArray(count, radius)
 
 
 def wavenumber(medium):

@@ -8,6 +8,10 @@ expansion into integer-order Bessel harmonics, to explicit series:
                             - (1/N)(J_0(2k|r-r*|) + Psi1_avg(2k))|
 
 where Psi1_avg averages the two-sided harmonic series over the antennas.
+The antennas are equally spaced (em.AntennaArray derives its angles), so
+the ring mean of cos(s(theta_n - phi)), a sum of N unit phasors, vanishes
+unless N divides s.  Psi1_avg keeps every N-th order, and is 0 if N > S:
+    Psi1_avg = 2 sum_{s = N, 2N, ... <= S} i^s J_s(x) cos(s(theta_1 - phi)).
 The harness cross-checks the series against brute-force double sums of
 plane-wave phases, which are the independent oracle: they involve nothing
 but complex exponentials.
@@ -24,9 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import specfun
 from .errors import ConfigError
 from .forward import KIND_FULL, KIND_ZERO_DIAGONAL, ScatteringMatrix
-from .specfun import SeriesTruncation, _jacobi_anger_terms
+from .specfun import SeriesTruncation
 
 
 class ValidityMarginWarning(UserWarning):
@@ -44,29 +49,17 @@ class StructureConfig:
         return StructureConfig(self.trunc, tuple(np.asarray(p, float) for p in locations))
 
 
-def _harmonic_terms(k_real, angles, r, r_center, trunc):
-    """J_0(x) and 2 sum_{s=1}^{S} i^s J_s(x) cos(s(theta - phi)) for each angle theta.
+def _ring_average(k_real, array, r, r_center, trunc):
+    """J_0(k|r-rc|) + Psi1_avg, the antenna average of the truncated plane-wave sum.
 
-    x = k|r - rc| and phi is the polar angle of r - rc.  r is one point
-    (2,) or a batch (P, 2); the J_0 part has shape () or (P,) and the
-    harmonics carry one more axis over the angles.
+    Psi1_avg sums the orders N, 2N, ... <= S (module docstring).  r is one
+    point (2,) or a batch (P, 2); the result has shape () or (P,).
     """
     delta = np.asarray(r, float) - np.asarray(r_center, float)
-    phi = np.arctan2(delta[..., 1], delta[..., 0])
-    return _jacobi_anger_terms(
-        k_real * np.hypot(delta[..., 0], delta[..., 1]),
-        np.asarray(angles, float) - phi[..., None],
-        trunc.max_order,
-    )
-
-
-def _ring_average(k_real, array, r, r_center, trunc):
-    """J_0(k|r-rc|) + Psi1_avg: the antenna average of the truncated plane-wave sum.
-
-    r is one point (2,) or a batch (P, 2); the result has shape () or (P,).
-    """
-    j0, harmonics = _harmonic_terms(k_real, array.angles, r, r_center, trunc)
-    return j0 + harmonics.mean(axis=-1)
+    seq = specfun._j_sequence(k_real * np.hypot(delta[..., 0], delta[..., 1]), trunc.max_order)
+    theta = array.angles[0] - np.arctan2(delta[..., 1], delta[..., 0])
+    return seq[0] + sum((1, 1j, -1, -1j)[s % 4] * 2.0 * seq[s] * np.cos(s * theta)
+                        for s in range(array.count, trunc.max_order + 1, array.count))
 
 
 def psi1(k_real, theta_n, r, r_center, trunc=SeriesTruncation()):
@@ -75,7 +68,10 @@ def psi1(k_real, theta_n, r, r_center, trunc=SeriesTruncation()):
     phi is the polar angle of r - r_center; the value is 0 when r equals
     r_center because every J_s vanishes there.
     """
-    return complex(_harmonic_terms(k_real, [theta_n], r, r_center, trunc)[1][0])
+    delta = np.asarray(r, float) - np.asarray(r_center, float)
+    x = k_real * np.hypot(delta[..., 0], delta[..., 1])
+    theta = theta_n - np.arctan2(delta[..., 1], delta[..., 0])[..., None]
+    return complex(specfun._jacobi_anger_terms(x, theta, trunc.max_order)[1][0])
 
 
 def _check_margin(r, array, k_real, r_star):

@@ -42,6 +42,17 @@ def test_validate_reports_small_deviation(capsys):
     assert spread <= 1e-6
 
 
+@pytest.mark.parametrize("count", [2, 3, 64, 100])
+def test_validate_passes_for_any_ring_size(capsys, count):
+    # The ring average keeps the orders N, 2N, ... <= 64: the most at N = 2,
+    # one at N = 64 and none past J_0 at N = 100.
+    rc = main(["validate", "--override", "array.count=%d" % count])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert float(out.split("max_identity_deviation=")[1].split()[0]) <= 1e-8
+    assert float(out.split("ratio_spread=")[1].split()[0]) <= 1e-6
+
+
 def test_validate_evaluates_the_series_once(monkeypatch):
     calls = []
     series = structure.structure_diag

@@ -176,3 +176,26 @@ def test_wavenumber_overflow_is_typed():
 def test_antenna_radius_must_be_finite(radius):
     with pytest.raises(ConfigError):
         em.antenna_array(16, radius)
+
+
+def test_array_derives_its_geometry():
+    # Bit for bit the angles 3pi/2 - 2pi n/N and their points on radius R.
+    arr = em.AntennaArray(16, 0.09)
+    angles = 3.0 * math.pi / 2.0 - 2.0 * math.pi * np.arange(16) / 16
+    positions = 0.09 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    assert np.array_equal(arr.angles, angles)
+    assert np.array_equal(arr.positions, positions)
+    same = em.antenna_array(16, 0.09)
+    assert np.array_equal(arr.angles, same.angles)
+    assert np.array_equal(arr.positions, same.positions)
+
+
+def test_array_takes_no_angles_and_checks_its_inputs():
+    with pytest.raises(TypeError):
+        em.AntennaArray(16, 0.09, angles=np.zeros(16))
+    for count in (1, em.MAX_ANTENNAS + 1, 16.5, math.nan):
+        with pytest.raises(ConfigError, match="antenna count"):
+            em.AntennaArray(count, 0.09)
+    for radius in (math.nan, math.inf, 0.0):
+        with pytest.raises(ConfigError, match="radius"):
+            em.AntennaArray(16, radius)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smig import em, forward, imaging, structure
+from smig import em, forward, imaging, specfun, structure
 from smig.errors import ConfigError
 from smig.specfun import SeriesTruncation, bessel_j
 from smig.structure import StructureConfig, ValidityMarginWarning
@@ -291,3 +291,33 @@ def test_batch_points_match_single_points(paper_array, k_real, r_star):
         assert batch.shape == (len(pts),)
         single = np.array([fn(p, paper_array, k_real, r_star, cfg) for p in pts])
         assert np.abs(batch - single).max() <= 1e-14
+
+
+def _per_antenna_ring_average(k_real, array, r, r_center, trunc):
+    # Reference: the Jacobi-Anger sum at every antenna angle, then the mean.
+    delta = np.asarray(r, float) - np.asarray(r_center, float)
+    phi = np.arctan2(delta[..., 1], delta[..., 0])
+    j0, harmonics = specfun._jacobi_anger_terms(
+        k_real * np.hypot(delta[..., 0], delta[..., 1]), array.angles - phi[..., None],
+        trunc.max_order)
+    return j0 + harmonics.mean(axis=-1)
+
+
+@pytest.mark.parametrize("count", [2, 3, 16, 32])
+@pytest.mark.parametrize("order", ["1", "N-1", "N", "2N+1", "64"])
+@pytest.mark.parametrize("factor", [1.0, 2.0])
+def test_aliased_ring_average_matches_per_antenna_sum(k_real, r_star, count, order, factor):
+    # Only the orders N, 2N, ... survive the ring average; the per-antenna sum
+    # over all S orders is the reference, at k and at 2k as structure_diag uses.
+    max_order = {"1": 1, "N-1": count - 1, "N": count, "2N+1": 2 * count + 1, "64": 64}[order]
+    trunc = SeriesTruncation(max_order, 1e-10)
+    array = em.antenna_array(count, 0.09)
+    k = factor * k_real
+    pts = _VALIDATE_POINTS
+    got = structure._ring_average(k, array, pts, r_star, trunc)
+    assert got.shape == (len(pts),)
+    assert np.abs(got - _per_antenna_ring_average(k, array, pts, r_star, trunc)).max() <= 1e-13
+    one = structure._ring_average(k, array, pts[0], r_star, trunc)
+    assert np.ndim(one) == 0
+    assert abs(one - _per_antenna_ring_average(k, array, pts[0], r_star, trunc)) <= 1e-13
+    assert structure._ring_average(k, array, r_star, r_star, trunc) == 1.0
