@@ -15,14 +15,14 @@ import os
 
 import numpy as np
 
-from smig import em, forward
+from smig import config, em, forward, imaging
 
 RECORD = os.path.join(os.path.dirname(__file__), "calibration_record.txt")
 
 
 def main():
-    medium = em.MediumParams.from_relative(20.0, 0.2, 1.0e9)
-    array = em.antenna_array(16, 0.09)
+    base = config.RunConfig()
+    medium, array = config.build_medium(base), config.build_array(base)
     lam = em.wavelength(em.wavenumber(medium))
 
     lines = [
@@ -58,21 +58,15 @@ def main():
     # Extended-scenario imaging metrics backing the outline-recovery
     # thresholds (argmax within disc + lam/4, >= 70% of half-max points
     # within lam/2 of the disc).
-    from smig import imaging
-
-    anomaly = forward.Anomaly.from_relative((0.01, 0.02), 0.050, 15.0, 0.5)
-    k = em.wavenumber(medium)
-    grid = imaging.ImagingGrid(-0.1, 0.1, -0.1, 0.1, 0.001)
-    data = forward.exact_disc_smatrix(array, anomaly, medium)
+    cfg = config.apply_overrides(base, config.EXTENDED_DISC)
+    anomaly = config.build_anomalies(cfg)[0]
+    k = config.build_imaging_wavenumber(cfg)
+    grid = config.build_grid(cfg)
+    data = config.build_scattered(cfg)
     image = imaging.image_diag(imaging.zero_diagonal(data), grid, array, k)
-    loc, peak = imaging.argmax(image)
-    xs, ys = grid.x_axis(), grid.y_axis()
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    dist_from_disc = np.maximum(
-        0.0, np.hypot(gx - anomaly.center[0], gy - anomaly.center[1]) - anomaly.radius
-    )
-    hot = image.values >= 0.5 * peak
-    coverage = float(np.sum(hot & (dist_from_disc <= lam / 2.0))) / max(1, int(hot.sum()))
+    loc, _ = imaging.argmax(image)
+    near, hot = imaging.half_max_near(image, anomaly.center, anomaly.radius, lam / 2.0)
+    coverage = near / max(1, hot)
     lines += [
         "Extended disc scenario (radius 0.050 m at (0.01, 0.02) m), disc-series",
         "data, diagonal-free map on the 201x201 grid:",

@@ -9,42 +9,35 @@ recoverable; the script reports how the half-max region covers it.
     python scripts/run_extended_disc.py [outdir]
 """
 
+import os
 import sys
 
 import numpy as np
 
-from smig import em, fileio, forward, imaging
+from smig import config, em, fileio, imaging
 
 OUT = sys.argv[1] if len(sys.argv) > 1 else "out_extended"
 
 
 def main():
-    import os
-
     os.makedirs(OUT, exist_ok=True)
-    medium = em.MediumParams.from_relative(20.0, 0.2, 1.0e9)
-    array = em.antenna_array(16, 0.09)
-    anomaly = forward.Anomaly.from_relative((0.01, 0.02), 0.050, 15.0, 0.5)
-    k = em.wavenumber(medium)
+    cfg = config.apply_overrides(config.RunConfig(), config.EXTENDED_DISC)
+    array, grid = config.build_array(cfg), config.build_grid(cfg)
+    anomaly = config.build_anomalies(cfg)[0]
+    k = config.build_imaging_wavenumber(cfg)
     lam = em.wavelength(k)
-    grid = imaging.ImagingGrid(-0.1, 0.1, -0.1, 0.1, 0.001)
 
     print("smallness index %.4f vs lambda %.4f -> extended"
-          % (em.smallness_index(anomaly.radius, anomaly.eps_star, medium), lam))
+          % (em.smallness_index(anomaly.radius, anomaly.eps_star, config.build_medium(cfg)), lam))
 
-    data = forward.exact_disc_smatrix(array, anomaly, medium)
+    data = config.build_scattered(cfg)
     diag_map = imaging.image_diag(imaging.zero_diagonal(data), grid, array, k)
-    full_map = imaging.image_full(data, grid, array, k)
+    full_map = imaging.image_full(data, grid, array, k, config.build_rank_policy(cfg))
 
-    xs, ys = grid.x_axis(), grid.y_axis()
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    dist_from_disc = np.maximum(
-        0.0, np.hypot(gx - anomaly.center[0], gy - anomaly.center[1]) - anomaly.radius
-    )
     for name, image in (("diag", diag_map), ("full", full_map)):
         loc, peak = imaging.argmax(image)
-        hot = image.values >= 0.5 * peak
-        covered = np.sum(hot & (dist_from_disc <= lam / 2.0)) / max(1, hot.sum())
+        near, hot = imaging.half_max_near(image, anomaly.center, anomaly.radius, lam / 2.0)
+        covered = near / max(1, hot)
         fileio.write_map(image, "%s/map_%s.pgm" % (OUT, name), "pgm")
         fileio.write_map(image, "%s/map_%s.csv" % (OUT, name), "csv")
         print("%s map: argmax (%.4f, %.4f), %.4f m from center, peak %.4f, "

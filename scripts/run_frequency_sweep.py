@@ -8,38 +8,31 @@ at the price of more sidelobe structure.
     python scripts/run_frequency_sweep.py [outdir]
 """
 
+import os
 import sys
 
-import numpy as np
-
-from smig import em, fileio, forward, imaging
+from smig import config, em, fileio, imaging
 
 OUT = sys.argv[1] if len(sys.argv) > 1 else "out_sweep"
 FREQS_GHZ = (0.5, 0.8, 1.0, 1.2)
 
 
 def main():
-    import os
-
     os.makedirs(OUT, exist_ok=True)
-    array = em.antenna_array(16, 0.09)
-    anomaly = forward.Anomaly.from_relative((0.01, 0.03), 0.010, 55.0, 1.2)
-    grid = imaging.ImagingGrid(-0.1, 0.1, -0.1, 0.1, 0.001)
+    base = config.RunConfig()
+    array, grid = config.build_array(base), config.build_grid(base)
 
     print("f_GHz  lambda_m  argmax_m              peak    FWHM_m  sidelobe_frac")
     for f in FREQS_GHZ:
-        medium = em.MediumParams.from_relative(20.0, 0.2, f * 1e9)
-        k = em.wavenumber(medium)
-        data = imaging.zero_diagonal(forward.born_smatrix(array, [anomaly], medium))
+        cfg = config.apply_overrides(base, ["medium.frequency_hz=%r" % (f * 1e9)])
+        k = config.build_imaging_wavenumber(cfg)
+        data = imaging.zero_diagonal(config.build_scattered(cfg))
         image = imaging.image_diag(data, grid, array, k)
         loc, peak = imaging.argmax(image)
         res = imaging.fwhm(image, loc)
-        hot = image.values >= 0.5 * peak
-        xs, ys = grid.x_axis(), grid.y_axis()
-        gx, gy = np.meshgrid(xs, ys, indexing="ij")
         lam = em.wavelength(k)
-        outside = np.hypot(gx - loc[0], gy - loc[1]) > lam / 2.0
-        sidelobe = np.sum(hot & outside) / image.values.size
+        near, hot = imaging.half_max_near(image, loc, 0.0, lam / 2.0)
+        sidelobe = (hot - near) / image.values.size
         fileio.write_map(image, "%s/map_%.1fGHz.pgm" % (OUT, f), "pgm")
         print("%5.1f  %8.4f  (%+.4f, %+.4f)  %.4f  %.4f  %.4f%s"
               % (f, lam, loc[0], loc[1], peak, res.width, sidelobe,

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import config as cfgmod
 from . import em, fileio, forward, imaging, structure
-from .errors import SmigError
+from .errors import ConfigError, SmigError
 from .specfun import SeriesTruncation
 
 
@@ -43,7 +43,7 @@ def _meta(cfg):
 def _scattered_matrix(cfg, args):
     if getattr(args, "stot", None) or getattr(args, "sinc", None):
         if not (args.stot and args.sinc):
-            raise SmigError("measured ingestion needs both --stot and --sinc")
+            raise ConfigError("measured ingestion needs both --stot and --sinc")
         s_tot = fileio.read_sparams(args.stot)
         s_inc = fileio.read_sparams(args.sinc)
         return forward.subtract(s_tot, s_inc)
@@ -111,11 +111,8 @@ def _cmd_validate(args):
     xs = np.linspace(g.x_min_m, g.x_max_m, 21)
     ys = np.linspace(g.y_min_m, g.y_max_m, 21)
     r_star = np.array([cfg.anomalies[0].center_x_m, cfg.anomalies[0].center_y_m])
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    points = np.stack([gx.ravel(), gy.ravel()], axis=1)
-    deviation, ratio_spread = structure.validate(
-        points, array, k_real, r_star, SeriesTruncation(max_order=64, abs_tol=1e-10)
-    )
+    deviation, ratio_spread = structure.validate(imaging.lattice(xs, ys), array, k_real, r_star,
+                                                 SeriesTruncation(max_order=64, abs_tol=1e-10))
     print("max_identity_deviation=%r ratio_spread=%r" % (deviation, ratio_spread))
     if deviation > 1e-8 or ratio_spread > 1e-6:
         print("error: structure: oracle deviation above tolerance", file=sys.stderr)

@@ -102,6 +102,13 @@ class RunConfig:
     output: OutputConfig = OutputConfig()
 
 
+# Overrides turning RunConfig into the Table-1 extended scenario: a 0.05 m
+# disc, imaged from its exact disc-series data with a clean diagonal.
+EXTENDED_DISC = ("anomaly.1.center_y_m=0.02", "anomaly.1.radius_m=0.05",
+                 "anomaly.1.permittivity_rel=15", "anomaly.1.conductivity_s_per_m=0.5",
+                 "synthesis.generator=exact_disc", "synthesis.contamination_amplitude_rel=0")
+
+
 def _parse_bool(text):
     if text in ("true", "True"):
         return True

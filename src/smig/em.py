@@ -1,4 +1,4 @@
-"""Background medium, complex wavenumber, antenna geometry, incident field.
+"""Background medium, complex wavenumber, antenna geometry, incident and plane-wave fields.
 
 The propagation model is the two-dimensional one: a line source at d
 radiates E_inc(d, r) = -(i/4) H_0^(1)(k |d - r|) into a homogeneous lossy
@@ -168,6 +168,13 @@ def incident_field_many(points, positions, k, table=None):
         dist = np.where(bad, dist.max(), dist)
     w = -0.25j * (hankel1_0(k.k * dist) if table is None else table(dist))
     return w, bad.any(axis=1)
+
+
+def plane_wave_many(points, array, k):
+    """Far-field phases e^{-ik d_n . r} with d_n = array.directions, shape (npts, N).
+
+    k is a real or complex scalar."""
+    return np.exp(-1j * k * (points @ array.directions.T))
 
 
 def smallness_index(anomaly_radius, eps_star, medium):

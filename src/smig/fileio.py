@@ -7,16 +7,17 @@ S-parameters travel as CSV with a one-line header:
 
 Values are written with the shortest round-trip decimal representation,
 so write -> read is bit-exact.  Maps go out as x,y,value CSV or as binary
-P5 PGM (row 0 = y_max) with a metadata sidecar; spectra as m,tau,ratio
-CSV.  Writers accept an optional meta mapping whose entries (seed, config
-hash, ...) land in a sidecar next to the file.
+P5 PGM (row 0 = y_max), each with a sidecar of the map's frequency, kind,
+rank and maximum; spectra as m,tau,ratio CSV.  Writers accept an optional
+meta mapping whose entries (seed, config hash, ...) land in a sidecar next
+to the file.
 """
 
 import re
 
 import numpy as np
 
-from .errors import DataError, SmigError
+from .errors import ConfigError, DataError
 from .forward import KIND_FULL, KIND_ZERO_DIAGONAL, ScatteringMatrix
 
 _HEADER_RE = re.compile(r"#\s*smig-sparams\s+v1,\s*N=(\d+),\s*f_hz=([^\s,]+)")
@@ -91,16 +92,30 @@ def read_sparams(path):
 
 
 def write_map(image, path, fmt="csv", meta=None):
-    """Write an image map as CSV (full precision) or 8-bit P5 PGM."""
+    """Write an image map as CSV (full precision) or 8-bit P5 PGM, plus its sidecar."""
     if fmt == "csv":
-        _write_map_csv(image, path, meta)
+        _write_map_csv(image, path)
     elif fmt == "pgm":
-        _write_map_pgm(image, path, meta)
+        _write_map_pgm(image, path)
     else:
-        raise SmigError("unknown map format %r" % (fmt,))
+        raise ConfigError("unknown map format %r" % (fmt,))
+    _map_sidecar(image, path, meta)
 
 
-def _write_map_csv(image, path, meta):
+def _map_sidecar(image, path, meta):
+    """The map's run fields, then meta's entries, next to the map file."""
+    fields = {
+        "frequency_hz": _fmt(image.frequency_hz),
+        "matrix_kind": image.matrix_kind,
+        "rank_used": image.rank_used,
+        "normalization_max": _fmt(image.values.max()),
+    }
+    if meta:
+        fields.update(meta)
+    write_sidecar(path, fields)
+
+
+def _write_map_csv(image, path):
     # Each axis value is formatted once and one map row is held as text at
     # a time; tolist() yields Python floats, whose repr is _fmt's.
     ys = ["," + _fmt(y) + "," for y in image.grid.y_axis()]
@@ -109,11 +124,9 @@ def _write_map_csv(image, path, meta):
         for x, row in zip(image.grid.x_axis().tolist(), image.values.tolist()):
             x = repr(x)
             fh.write("".join([x + y + v + "\n" for y, v in zip(ys, map(repr, row))]))
-    if meta is not None:
-        write_sidecar(path, meta)
 
 
-def _write_map_pgm(image, path, meta):
+def _write_map_pgm(image, path):
     values = image.values
     vmax = float(values.max())
     scaled = np.zeros_like(values) if vmax == 0 else values / vmax
@@ -123,15 +136,6 @@ def _write_map_pgm(image, path, meta):
     with open(path, "wb") as fh:
         fh.write(b"P5\n%d %d\n255\n" % (width, height))
         fh.write(pixels.tobytes())
-    fields = {
-        "frequency_hz": _fmt(image.frequency_hz),
-        "matrix_kind": image.matrix_kind,
-        "rank_used": image.rank_used,
-        "normalization_max": _fmt(vmax),
-    }
-    if meta:
-        fields.update(meta)
-    write_sidecar(path, fields)
 
 
 def write_spectrum(svd_result, path, meta=None):

@@ -1,4 +1,5 @@
-"""SVD-based imaging: rank selection, test vectors, grid maps, peak metrics.
+"""SVD-based imaging: rank selection, test vectors, grid lattice and maps,
+peak and half-max metrics.
 
 Two map variants share one projection formula
 |sum_m <W(r), U_m><W(r), conj V_m>|: the full-matrix map sums the M
@@ -197,8 +198,7 @@ def _steering_block(points, array, k, steering, table):
     if steering == STEERING_HANKEL:
         w, excluded = em.incident_field_many(points, array.positions, k, table=table)
     elif steering == STEERING_PLANE_WAVE:
-        phases = points @ array.directions.T  # (npts, N) of theta_n . r
-        w = np.exp(-1j * k.k * phases)
+        w = em.plane_wave_many(points, array, k.k)
         excluded = np.zeros(points.shape[0], dtype=bool)
     else:
         raise ConfigError("unknown steering kind %r" % (steering,))
@@ -206,9 +206,8 @@ def _steering_block(points, array, k, steering, table):
     return w, excluded
 
 
-def _grid_points(grid):
-    xs = grid.x_axis()
-    ys = grid.y_axis()
+def lattice(xs, ys):
+    """Every (x, y) of the axes as rows of a (P, 2) array, x-major like a map's values."""
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     return np.stack([gx.ravel(), gy.ravel()], axis=1)
 
@@ -242,7 +241,7 @@ def _worker_count():
 def _projection_map(decomp, grid, array, k, m_used, steering):
     u = decomp.left_vectors[:, :m_used]
     v_conj = decomp.right_vectors[:, :m_used].conj()
-    pts = _grid_points(grid)
+    pts = lattice(grid.x_axis(), grid.y_axis())
     table = _hankel_table(grid, array, k) if steering == STEERING_HANKEL else None
     n = pts.shape[0]
     vals = np.empty(n, dtype=float)
@@ -340,3 +339,12 @@ def fwhm(image, peak_location):
         widths.append(hi - lo)
         touched = touched or t1 or t2
     return FwhmResult(width=float(np.mean(widths)), touches_boundary=touched)
+
+
+def half_max_near(image, center, radius, reach):
+    """(near, hot): counts of the grid points at or above half the map maximum
+    (hot), and of those within reach of the disc (center, radius) (near)."""
+    hot = image.values.ravel() >= 0.5 * image.values.max()
+    pts = lattice(image.grid.x_axis(), image.grid.y_axis())
+    gap = np.hypot(pts[:, 0] - center[0], pts[:, 1] - center[1]) - radius
+    return int(np.sum(hot & (gap <= reach))), int(np.sum(hot))

@@ -14,7 +14,8 @@ unless N divides s.  Psi1_avg keeps every N-th order, and is 0 if N > S:
     Psi1_avg = 2 sum_{s = N, 2N, ... <= S} i^s J_s(x) cos(s(theta_1 - phi)).
 The harness cross-checks the series against brute-force double sums of
 plane-wave phases, which are the independent oracle: they involve nothing
-but complex exponentials.
+but complex exponentials, written out here rather than taken from
+em.plane_wave_many, which gives the ideal data and migration steering.
 
 Points are numpy arrays of shape (2,) for one point (x, y) in metres or
 (P, 2) for a batch of P points; the series functions return a float for
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import specfun
+from . import em, specfun
 from .errors import ConfigError
 from .forward import KIND_FULL, KIND_ZERO_DIAGONAL, ScatteringMatrix
 from .specfun import SeriesTruncation
@@ -121,21 +122,13 @@ def structure_diag(r, array, k_real, r_star, config=StructureConfig()):
     return _unwrap(n / (n - 1) * np.abs(g * g - h / n))
 
 
-def plane_wave_test_vector(r, array, k_real):
-    """Unit steering vector of the far-field (plane-wave) limit."""
-    phases = array.directions @ np.asarray(r, dtype=float)
-    w = np.exp(-1j * k_real * phases)
-    return w / math.sqrt(array.count)
-
-
 def ideal_plane_wave_matrix(array, k_real, r_star, kind=KIND_FULL, frequency_hz=0.0):
     """Rank-one plane-wave data (1/N) e^{-ik(theta_m + theta_n) . r*}.
 
     With kind=zero_diagonal the diagonal is dropped, reproducing the ideal
     diagonal-free matrix of the far-field limit.
     """
-    phases = array.directions @ np.asarray(r_star, dtype=float)
-    v = np.exp(-1j * k_real * phases)
+    v = em.plane_wave_many(np.asarray(r_star, dtype=float)[None], array, k_real)[0]
     entries = np.outer(v, v) / array.count
     if kind == KIND_ZERO_DIAGONAL:
         np.fill_diagonal(entries, 0.0)
@@ -150,9 +143,7 @@ def migration_response(s_matrix, array, k_real, points):
     weighted by their singular values.  On ideal plane-wave data it equals
     tau_1 times the closed-form diagonal-free series.
     """
-    pts = np.asarray(points, dtype=float)
-    phases = pts @ array.directions.T
-    w = np.exp(-1j * k_real * phases) / math.sqrt(array.count)
+    w = em.plane_wave_many(np.asarray(points, dtype=float), array, k_real) / math.sqrt(array.count)
     return np.abs(np.einsum("pi,ij,pj->p", w.conj(), s_matrix.entries, w.conj()))
 
 

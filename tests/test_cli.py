@@ -107,7 +107,7 @@ def test_measured_needs_both_files(tmp_path, capsys):
     rc = main(["image", "--out", str(tmp_path), "--stot", "only.csv"] + FAST)
     err = capsys.readouterr().err
     assert rc == 1
-    assert err.startswith("error:")
+    assert err.startswith("error: ConfigError:")
     assert err.count("\n") == 1
 
 

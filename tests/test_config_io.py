@@ -328,6 +328,26 @@ def test_map_pgm_brightest_pixel(tmp_path, coarse_grid):
     assert row == ys.size - 1 - iy
 
 
+def test_map_sidecar_same_for_both_formats(tmp_path, coarse_grid):
+    values = np.random.default_rng(9).random(coarse_grid.shape)
+    image = imaging.ImageMap(coarse_grid, values, 3, 1e9, "full")
+    meta = {"config_sha256": "abc", "noise_seed": 7}
+    for ext in ("csv", "pgm"):
+        fileio.write_map(image, tmp_path / ("map." + ext), ext, meta=meta)
+    csv_sidecar = (tmp_path / "map.csv.meta.txt").read_text()
+    assert csv_sidecar == (tmp_path / "map.pgm.meta.txt").read_text()
+    assert csv_sidecar.startswith("frequency_hz = 1000000000.0\nmatrix_kind = full\n"
+                                  "rank_used = 3\nnormalization_max = ")
+    assert csv_sidecar.endswith("config_sha256 = abc\nnoise_seed = 7\n")
+
+
+def test_map_unknown_format_is_config_error(tmp_path, coarse_grid):
+    image = imaging.ImageMap(coarse_grid, np.ones(coarse_grid.shape), 1, 1e9, "full")
+    with pytest.raises(ConfigError):
+        fileio.write_map(image, tmp_path / "map.bmp", "bmp")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_spectrum_file(tmp_path, born_fixture, contaminated_fixture):
     decomp = imaging.svd(born_fixture)
     path = tmp_path / "spec.csv"

@@ -199,3 +199,17 @@ def test_array_takes_no_angles_and_checks_its_inputs():
     for radius in (math.nan, math.inf, 0.0):
         with pytest.raises(ConfigError, match="radius"):
             em.AntennaArray(16, radius)
+
+
+@pytest.mark.parametrize("k", [93.729038762256, 93.8 + 12.5j])
+def test_plane_wave_many_matches_per_point(paper_array, k):
+    points = np.random.default_rng(4).uniform(-0.1, 0.1, size=(37, 2))
+    many = em.plane_wave_many(points, paper_array, k)
+    assert many.shape == (37, paper_array.count)
+    for row, r in zip(many, points):
+        per_point = np.exp(-1j * k * (paper_array.directions @ r))
+        # One point is bit-equal (ideal_plane_wave_matrix relies on it); a
+        # batch row may differ in the last bits, since BLAS rounds a matrix
+        # product through other kernels than a matrix-vector product.
+        assert np.array_equal(em.plane_wave_many(r[None], paper_array, k)[0], per_point)
+        assert np.abs(row - per_point).max() <= 1e-13

@@ -291,6 +291,29 @@ def test_fwhm_boundary_flag(default_grid):
     assert res.touches_boundary
 
 
+def test_half_max_near_matches_inline_formulas(
+    paper_array, paper_k, paper_medium, extended_anomaly, contaminated_fixture, coarse_grid,
+    r_star,
+):
+    lam = em.wavelength(paper_k)
+    gx, gy = np.meshgrid(coarse_grid.x_axis(), coarse_grid.y_axis(), indexing="ij")
+    # Criterion 7's coverage: half-max points within lambda/2 of the disc.
+    data = forward.exact_disc_smatrix(paper_array, extended_anomaly, paper_medium)
+    image = imaging.image_diag(imaging.zero_diagonal(data), coarse_grid, paper_array, paper_k)
+    center, rho = extended_anomaly.center, extended_anomaly.radius
+    dist_from_disc = np.maximum(0.0, np.hypot(gx - center[0], gy - center[1]) - rho)
+    hot = image.values >= 0.5 * image.values.max()
+    near, n_hot = imaging.half_max_near(image, center, rho, lam / 2.0)
+    assert (near, n_hot) == (np.sum(hot & (dist_from_disc <= lam / 2.0)), np.sum(hot))
+    # Criterion 5's side lobes: at radius 0, the hot points beyond lambda/2.
+    full = imaging.image_full(contaminated_fixture, coarse_grid, paper_array, paper_k)
+    near, n_hot = imaging.half_max_near(full, r_star, 0.0, lam / 2.0)
+    hot = full.values >= 0.5 * full.values.max()
+    outside = np.hypot(gx - r_star[0], gy - r_star[1]) > lam / 2.0
+    assert n_hot - near == np.sum(hot & outside) > 0
+    assert near > 0
+
+
 def test_fwhm_frequency_trend(paper_array, small_anomaly):
     grid = ImagingGrid(-0.1, 0.1, -0.1, 0.1, 0.002)
     widths = {}
@@ -414,7 +437,8 @@ def test_on_grid_antennas_are_excluded(count, small_anomaly, paper_medium, paper
         forward.born_smatrix(array, [small_anomaly], paper_medium), 5.0, mode="random", seed=7
     )
     image = imaging.image_full(data, default_grid, array, paper_k)
-    on_antenna = _on_antenna(imaging._grid_points(default_grid), array).reshape(default_grid.shape)
+    points = imaging.lattice(default_grid.x_axis(), default_grid.y_axis())
+    on_antenna = _on_antenna(points, array).reshape(default_grid.shape)
     assert np.count_nonzero(on_antenna) == 4
     assert np.all(image.values[on_antenna] == 0.0)
     flat = int(np.argmax(image.values))
@@ -439,7 +463,8 @@ def test_map_values_finite_nonnegative_and_zero_on_antennas(
     grid = ImagingGrid(-half, half, -half, half, step)
     rng = np.random.default_rng(seed)
     entries = rng.normal(size=(count, count)) + 1j * rng.normal(size=(count, count))
-    on_antenna = _on_antenna(imaging._grid_points(grid), array).reshape(grid.shape)
+    points = imaging.lattice(grid.x_axis(), grid.y_axis())
+    on_antenna = _on_antenna(points, array).reshape(grid.shape)
     for image in (
         imaging.image_full(_matrix(entries), grid, array, paper_k),
         imaging.image_diag(imaging.zero_diagonal(_matrix(entries)), grid, array, paper_k),
@@ -452,7 +477,7 @@ def test_map_values_finite_nonnegative_and_zero_on_antennas(
 def _exact_steering(grid, array, k):
     """Rows of imaging.test_vector, the exact per-point path; zero rows on antennas."""
     rows = []
-    for r in imaging._grid_points(grid):
+    for r in imaging.lattice(grid.x_axis(), grid.y_axis()):
         try:
             rows.append(imaging.test_vector(r, array, k))
         except SingularityError:

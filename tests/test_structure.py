@@ -250,7 +250,7 @@ def test_first_pair_ratio_constant_literal(paper_array, k_real, r_star):
                     for y in np.linspace(-0.07, 0.07, 7)])
     ratios = []
     for p in pts:
-        w = structure.plane_wave_test_vector(p, paper_array, k_real)
+        w = em.plane_wave_many(p[None], paper_array, k_real)[0] / math.sqrt(paper_array.count)
         pair = abs(
             (w.conj() @ decomp.left_vectors[:, 0])
             * (w.conj() @ decomp.right_vectors[:, 0].conj())
