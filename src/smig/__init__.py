@@ -27,6 +27,7 @@ from .imaging import (
     SVDResult,
     argmax,
     fwhm,
+    image,
     image_diag,
     image_full,
     select_rank,

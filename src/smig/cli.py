@@ -3,7 +3,11 @@
 Every run is driven by a key-value config (defaults = the Table-1 small
 anomaly scenario) plus repeatable --override key=value flags.  Output
 files carry a sidecar with the seeds and the config hash so runs can be
-reproduced bit-exactly.
+reproduced bit-exactly; an existing output file is replaced, not truncated.
+
+image and spectrum read S_scat in the config's imaging.matrix_kind (the
+diagonal is dropped for zero_diagonal) and leave the rank to
+imaging.select_rank: spectrum's rank_selected is the rank_used of image.
 """
 
 import argparse
@@ -41,13 +45,18 @@ def _meta(cfg):
 
 
 def _scattered_matrix(cfg, args):
+    """The measured (--stot minus --sinc) or synthetic S_scat, of the config's matrix kind."""
     if getattr(args, "stot", None) or getattr(args, "sinc", None):
         if not (args.stot and args.sinc):
             raise ConfigError("measured ingestion needs both --stot and --sinc")
         s_tot = fileio.read_sparams(args.stot)
         s_inc = fileio.read_sparams(args.sinc)
-        return forward.subtract(s_tot, s_inc)
-    return cfgmod.build_scattered(cfg)
+        scat = forward.subtract(s_tot, s_inc)
+    else:
+        scat = cfgmod.build_scattered(cfg)
+    if cfg.imaging.matrix_kind == forward.KIND_ZERO_DIAGONAL:
+        scat = imaging.zero_diagonal(scat)
+    return scat
 
 
 def _out_dir(cfg, args):
@@ -81,12 +90,8 @@ def _cmd_image(args):
     array = cfgmod.build_array(cfg)
     grid = cfgmod.build_grid(cfg)
     k = cfgmod.build_imaging_wavenumber(cfg)
-    scat = _scattered_matrix(cfg, args)
-    if cfg.imaging.matrix_kind == forward.KIND_ZERO_DIAGONAL:
-        data = imaging.zero_diagonal(scat)
-        image = imaging.image_diag(data, grid, array, k)
-    else:
-        image = imaging.image_full(scat, grid, array, k, cfgmod.build_rank_policy(cfg))
+    image = imaging.image(_scattered_matrix(cfg, args), grid, array, k,
+                          cfgmod.build_rank_policy(cfg))
     loc, peak = imaging.argmax(image)
     fmt = args.format or cfg.output.format
     meta = _meta(cfg)
@@ -123,10 +128,7 @@ def _cmd_validate(args):
 def _cmd_spectrum(args):
     cfg = _load_config(args)
     out = _out_dir(cfg, args)
-    scat = _scattered_matrix(cfg, args)
-    if cfg.imaging.matrix_kind == forward.KIND_ZERO_DIAGONAL:
-        scat = imaging.zero_diagonal(scat)
-    decomp = imaging.svd(scat)
+    decomp = imaging.svd(_scattered_matrix(cfg, args))
     path = os.path.join(out, "spectrum.csv")
     fileio.write_spectrum(decomp, path, meta=_meta(cfg))
     m = imaging.select_rank(decomp, cfgmod.build_rank_policy(cfg))

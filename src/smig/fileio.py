@@ -10,9 +10,12 @@ so write -> read is bit-exact.  Maps go out as x,y,value CSV or as binary
 P5 PGM (row 0 = y_max), each with a sidecar of the map's frequency, kind,
 rank and maximum; spectra as m,tau,ratio CSV.  Writers accept an optional
 meta mapping whose entries (seed, config hash, ...) land in a sidecar next
-to the file.
+to the file.  Every writer replaces an existing file with a new one (a
+symlink at the path is replaced, not written through).
 """
 
+import contextlib
+import os
 import re
 
 import numpy as np
@@ -30,8 +33,16 @@ def _fmt(x):
     return repr(float(x))
 
 
+def _create(path, mode="w"):
+    """Open path as a new file, removing any file already there: truncating a
+    file that was just written can stall on its flush (about 60 ms on ext4)."""
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(path)
+    return open(path, mode)
+
+
 def write_sidecar(path, fields):
-    with open(str(path) + ".meta.txt", "w") as fh:
+    with _create(str(path) + ".meta.txt") as fh:
         for key, value in fields.items():
             fh.write("%s = %s\n" % (key, value))
 
@@ -41,7 +52,7 @@ def write_sparams(s_matrix, path, meta=None):
     if not np.all(np.isfinite(s_matrix.entries)):
         raise DataError("%s: refusing to write non-finite entries" % path)
     n = s_matrix.size
-    with open(path, "w") as fh:
+    with _create(path) as fh:
         fh.write("# smig-sparams v1, N=%d, f_hz=%s\n" % (n, _fmt(s_matrix.frequency_hz)))
         fh.write("m,n,re,im\n")
         for m in range(n):
@@ -119,7 +130,7 @@ def _write_map_csv(image, path):
     # Each axis value is formatted once and one map row is held as text at
     # a time; tolist() yields Python floats, whose repr is _fmt's.
     ys = ["," + _fmt(y) + "," for y in image.grid.y_axis()]
-    with open(path, "w") as fh:
+    with _create(path) as fh:
         fh.write("x,y,value\n")
         for x, row in zip(image.grid.x_axis().tolist(), image.values.tolist()):
             x = repr(x)
@@ -133,7 +144,7 @@ def _write_map_pgm(image, path):
     # Image convention: first pixel row is y_max, columns run x_min -> x_max.
     pixels = np.rint(255.0 * scaled[:, ::-1].T).astype(np.uint8)
     height, width = pixels.shape
-    with open(path, "wb") as fh:
+    with _create(path, "wb") as fh:
         fh.write(b"P5\n%d %d\n255\n" % (width, height))
         fh.write(pixels.tobytes())
 
@@ -142,7 +153,7 @@ def write_spectrum(svd_result, path, meta=None):
     """Write rows m, tau_m, tau_m/tau_1."""
     tau = svd_result.singular_values
     top = float(tau[0]) if tau.size else 0.0
-    with open(path, "w") as fh:
+    with _create(path) as fh:
         fh.write("m,tau,ratio\n")
         for m, value in enumerate(tau, start=1):
             ratio = float(value) / top if top > 0 else 0.0

@@ -1,10 +1,10 @@
 """SVD-based imaging: rank selection, test vectors, grid lattice and maps,
 peak and half-max metrics.
 
-Two map variants share one projection formula
-|sum_m <W(r), U_m><W(r), conj V_m>|: the full-matrix map sums the M
-dominant singular pairs picked by a rank policy, the diagonal-free map is
-hardwired to the first pair of a zero-diagonal matrix.
+Both imaging functions of the paper are one map, image, of the projection
+|sum_m <W(r), U_m><W(r), conj V_m>| over the M dominant singular pairs.
+The matrix kind picks M, in select_rank alone: a zero-diagonal matrix
+images its first pair, a full matrix the pairs its rank policy keeps.
 
 The map sweeps the grid in chunks of points on one thread per usable CPU
 (at most _MAX_WORKERS).  Every chunk writes its own slice of the map, so
@@ -54,11 +54,13 @@ MAX_GRID_POINTS = 2 ** 22
 
 @dataclass(eq=False)
 class SVDResult:
-    """Descending singular values with matched left/right vector columns."""
+    """Descending singular values with matched left/right vector columns,
+    and the kind of the matrix they decompose."""
 
     singular_values: np.ndarray
     left_vectors: np.ndarray
     right_vectors: np.ndarray
+    kind: str
 
 
 @dataclass(frozen=True)
@@ -125,7 +127,7 @@ class ImageMap:
 
 @dataclass(frozen=True)
 class RankPolicy:
-    """Rule selecting how many singular pairs enter the full-matrix map."""
+    """Rule selecting how many singular pairs of full-kind data enter the map."""
 
     mode: str = "relative_threshold"
     threshold: float = 0.02
@@ -160,14 +162,21 @@ def svd(s_matrix):
     if not np.all(np.isfinite(s_matrix.entries)):
         raise DataError("scattering matrix contains non-finite entries")
     u, tau, vh = np.linalg.svd(s_matrix.entries)
-    return SVDResult(singular_values=tau, left_vectors=u, right_vectors=vh.conj().T)
+    return SVDResult(singular_values=tau, left_vectors=u, right_vectors=vh.conj().T,
+                     kind=s_matrix.kind)
 
 
 def select_rank(svd_result, policy):
-    """Number of singular pairs the policy keeps (at least one)."""
+    """Number of singular pairs the map projects (at least one).
+
+    The diagonal-free map is the first pair by construction, whatever the
+    policy; full-kind data keeps the pairs the policy selects.
+    """
     tau = svd_result.singular_values
     if tau[0] <= 0.0:
         raise RankError("all-zero singular spectrum")
+    if svd_result.kind == KIND_ZERO_DIAGONAL:
+        return 1
     if policy.mode == "fixed":
         if policy.fixed_m > tau.size:
             raise ConfigError("fixed_m = %d exceeds matrix size %d" % (policy.fixed_m, tau.size))
@@ -285,22 +294,29 @@ def _projection_map(decomp, grid, array, k, m_used, steering):
     return vals.reshape(grid.shape)
 
 
-def image_full(s_matrix, grid, array, k, policy=RankPolicy(), steering=STEERING_HANKEL):
-    """Map of the M-pair projection sum on full-kind data."""
-    if s_matrix.kind != KIND_FULL:
-        raise KindError("image_full expects a full-kind matrix")
+def image(s_matrix, grid, array, k, policy=RankPolicy(), steering=STEERING_HANKEL):
+    """Map of the projection sum over the singular pairs select_rank picks.
+
+    On zero-diagonal data that is the first pair and the values lie in [0, 1].
+    """
     decomp = svd(s_matrix)
     m_used = select_rank(decomp, policy)
     values = _projection_map(decomp, grid, array, k, m_used, steering)
     return ImageMap(grid, values, m_used, s_matrix.frequency_hz, s_matrix.kind)
 
 
+def image_full(s_matrix, grid, array, k, policy=RankPolicy(), steering=STEERING_HANKEL):
+    """image of full-kind data."""
+    if s_matrix.kind != KIND_FULL:
+        raise KindError("image_full expects a full-kind matrix")
+    return image(s_matrix, grid, array, k, policy, steering)
+
+
 def image_diag(s_matrix, grid, array, k, steering=STEERING_HANKEL):
-    """First-pair projection map on zero-diagonal data; values lie in [0, 1]."""
+    """image of zero-diagonal data."""
     if s_matrix.kind != KIND_ZERO_DIAGONAL:
         raise KindError("image_diag expects a zero_diagonal-kind matrix")
-    values = _projection_map(svd(s_matrix), grid, array, k, 1, steering)
-    return ImageMap(grid, values, 1, s_matrix.frequency_hz, s_matrix.kind)
+    return image(s_matrix, grid, array, k, steering=steering)
 
 
 def argmax(image):

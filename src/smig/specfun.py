@@ -366,19 +366,20 @@ def hankel1_0_table(k, lo, hi, count):
     return DistanceTable(k, lo, hi, coef)
 
 
-def _jacobi_anger_terms(x, theta, s_max):
-    """J_0(x) and the harmonic sum 2 sum_{s=1}^{s_max} i^s J_s(x) cos(s theta).
+def _jacobi_anger_terms(x, theta, s_max, step=1):
+    """J_0(x) and the harmonic sum 2 sum_{s = step, 2 step, ... <= s_max} i^s J_s(x) cos(s theta).
 
     x is an array of nonnegative reals; theta has shape x.shape + (A,),
     one angle per point and antenna.  Returns (J_0(x), harmonics) with
     harmonics shaped like theta.  One J batch serves every point; the sum
     runs order by order, so no points x antennas x orders array is built.
+    step = 1 is the full expansion; an N-antenna ring average keeps step = N.
     """
     x = np.asarray(x, dtype=float)
     theta = np.asarray(theta, dtype=float)
     seq = _j_sequence(x, s_max)
     harmonics = np.zeros(theta.shape, dtype=complex)
-    for s in range(1, s_max + 1):
+    for s in range(step, s_max + 1, step):
         harmonics += ((1, 1j, -1, -1j)[s % 4] * 2.0 * seq[s])[..., None] * np.cos(s * theta)
     return seq[0], harmonics
 

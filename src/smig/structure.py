@@ -57,10 +57,11 @@ def _ring_average(k_real, array, r, r_center, trunc):
     point (2,) or a batch (P, 2); the result has shape () or (P,).
     """
     delta = np.asarray(r, float) - np.asarray(r_center, float)
-    seq = specfun._j_sequence(k_real * np.hypot(delta[..., 0], delta[..., 1]), trunc.max_order)
+    x = k_real * np.hypot(delta[..., 0], delta[..., 1])
     theta = array.angles[0] - np.arctan2(delta[..., 1], delta[..., 0])
-    return seq[0] + sum((1, 1j, -1, -1j)[s % 4] * 2.0 * seq[s] * np.cos(s * theta)
-                        for s in range(array.count, trunc.max_order + 1, array.count))
+    j0, harmonics = specfun._jacobi_anger_terms(x, theta[..., None], trunc.max_order,
+                                                step=array.count)
+    return j0 + harmonics[..., 0]
 
 
 def psi1(k_real, theta_n, r, r_center, trunc=SeriesTruncation()):

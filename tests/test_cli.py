@@ -75,6 +75,23 @@ def test_spectrum_writes_file(tmp_path, capsys):
     assert (tmp_path / "spectrum.csv").exists()
 
 
+def test_spectrum_defaults_select_the_first_pair(tmp_path, capsys):
+    assert main(["spectrum", "--out", str(tmp_path)]) == 0
+    assert "rank_selected=1 " in capsys.readouterr().out
+
+
+def test_image_of_all_zero_data_is_rank_error(tmp_path, capsys):
+    # An anomaly with the background's material scatters nothing.
+    rc = main(["image", "--out", str(tmp_path),
+               "--override", "anomaly.1.permittivity_rel=20",
+               "--override", "anomaly.1.conductivity_s_per_m=0.2",
+               "--override", "synthesis.contamination_amplitude_rel=0",
+               "--override", "grid.step_m=0.01"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error: RankError:")
+
+
 def test_simulate_then_measured_image_matches_synthetic(tmp_path, capsys):
     sim_dir = tmp_path / "sim"
     rc = main(["simulate", "--out", str(sim_dir),

@@ -363,6 +363,27 @@ def test_spectrum_file(tmp_path, born_fixture, contaminated_fixture):
     assert sum(r >= 0.02 for r in ratios) >= 3
 
 
+def test_writers_replace_a_longer_old_file(tmp_path, born_fixture, coarse_grid):
+    image = imaging.ImageMap(coarse_grid, np.ones(coarse_grid.shape), 1, 1e9, "full")
+    meta = {"seed": 7}
+    writers = {
+        "s.csv": lambda path: fileio.write_sparams(born_fixture, path, meta=meta),
+        "map.csv": lambda path: fileio.write_map(image, path, "csv", meta=meta),
+        "map.pgm": lambda path: fileio.write_map(image, path, "pgm", meta=meta),
+        "spec.csv": lambda path: fileio.write_spectrum(imaging.svd(born_fixture), path, meta),
+    }
+    fresh, old = tmp_path / "fresh", tmp_path / "old"
+    fresh.mkdir()
+    old.mkdir()
+    for name, write in writers.items():
+        write(fresh / name)
+        for path in (old / name, old / (name + ".meta.txt")):
+            path.write_bytes(b"x" * (1 << 20))
+        write(old / name)
+        for target in (name, name + ".meta.txt"):
+            assert (old / target).read_bytes() == (fresh / target).read_bytes()
+
+
 def test_sidecar_records_seed_and_hash(tmp_path, born_fixture):
     path = tmp_path / "s.csv"
     fileio.write_sparams(born_fixture, path, meta={"config_sha256": "abc", "seed": 7})

@@ -107,14 +107,14 @@ def test_select_rank_contaminated_fixture(contaminated_fixture):
     assert imaging.select_rank(decomp, RankPolicy()) >= 3
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="zero-diagonal remainder of a rank-one matrix has tau2/tau1 >= "
-    "~1/(N-1) = 0.067 at N=16, so the 0.02 relative threshold cannot leave "
-    "exactly one singular value; see acceptance criterion 4 notes",
-)
 def test_select_rank_zero_diag_fixture_single(contaminated_fixture):
+    # The zero-diagonal remainder of a rank-one matrix has tau2/tau1 >= ~1/(N-1)
+    # = 0.067 at N = 16, so the 0.02 threshold alone keeps more than one value
+    # (acceptance criterion 4 notes); the matrix kind picks the first pair.
     decomp = imaging.svd(imaging.zero_diagonal(contaminated_fixture))
+    tau = decomp.singular_values
+    assert np.sum(tau >= RankPolicy().threshold * tau[0]) > 1
+    assert decomp.kind == forward.KIND_ZERO_DIAGONAL
     assert imaging.select_rank(decomp, RankPolicy()) == 1
 
 
@@ -178,6 +178,17 @@ def test_image_full_fixture_argmax(born_fixture, paper_array, paper_k, default_g
     image = imaging.image_full(born_fixture, default_grid, paper_array, paper_k)
     loc, _ = imaging.argmax(image)
     assert np.abs(loc - r_star).max() <= 0.001 + 1e-12
+
+
+def test_image_is_both_imaging_functions(contaminated_fixture, paper_array, paper_k,
+                                         coarse_grid):
+    zero_diag = imaging.zero_diagonal(contaminated_fixture)
+    for data, wrapped in ((contaminated_fixture, imaging.image_full(
+            contaminated_fixture, coarse_grid, paper_array, paper_k)),
+            (zero_diag, imaging.image_diag(zero_diag, coarse_grid, paper_array, paper_k))):
+        image = imaging.image(data, coarse_grid, paper_array, paper_k)
+        assert np.array_equal(image.values, wrapped.values)
+        assert (image.rank_used, image.matrix_kind) == (wrapped.rank_used, wrapped.matrix_kind)
 
 
 def test_image_full_kind_check(born_fixture, paper_array, paper_k, coarse_grid):
