@@ -31,8 +31,8 @@ def main():
           % (em.smallness_index(anomaly.radius, anomaly.eps_star, config.build_medium(cfg)), lam))
 
     data = config.build_scattered(cfg)
-    diag_map = imaging.image_diag(imaging.zero_diagonal(data), grid, array, k)
-    full_map = imaging.image_full(data, grid, array, k, config.build_rank_policy(cfg))
+    diag_map, full_map = imaging.image([imaging.zero_diagonal(data), data], grid, array, k,
+                                       config.build_rank_policy(cfg))
 
     for name, image in (("diag", diag_map), ("full", full_map)):
         loc, peak = imaging.argmax(image)

@@ -25,10 +25,10 @@ def main():
     k = config.build_imaging_wavenumber(cfg)
     contaminated = config.build_scattered(cfg)
 
-    start = time.perf_counter()
-    diag_map = imaging.image_diag(imaging.zero_diagonal(contaminated), grid, array, k)
+    start = time.perf_counter()  # one sweep images both maps
+    diag_map, full_map = imaging.image([imaging.zero_diagonal(contaminated), contaminated],
+                                       grid, array, k, config.build_rank_policy(cfg))
     elapsed = time.perf_counter() - start
-    full_map = imaging.image_full(contaminated, grid, array, k, config.build_rank_policy(cfg))
 
     for name, image in (("diag", diag_map), ("full", full_map)):
         fileio.write_map(image, "%s/map_%s.csv" % (OUT, name), "csv")

@@ -22,14 +22,15 @@ def main():
     k = config.build_imaging_wavenumber(base)
     truth = config.build_anomalies(base)[0].center
 
+    noisy = [imaging.zero_diagonal(config.build_scattered(config.with_seed(
+        config.apply_overrides(base, ["synthesis.noise_snr_db=%r" % snr]), seed)))
+        for snr in SNRS_DB for seed in range(10)]
+    images = imaging.image(noisy, grid, array, k)  # all 50 maps from one sweep
+
     print("snr_db  mean_offset_m  max_offset_m  mean_peak")
-    for snr in SNRS_DB:
+    for i, snr in enumerate(SNRS_DB):
         offsets, peaks = [], []
-        for seed in range(10):
-            cfg = config.with_seed(
-                config.apply_overrides(base, ["synthesis.noise_snr_db=%r" % snr]), seed)
-            noisy = config.build_scattered(cfg)
-            image = imaging.image_diag(imaging.zero_diagonal(noisy), grid, array, k)
+        for image in images[10 * i:10 * i + 10]:
             loc, peak = imaging.argmax(image)
             offsets.append(np.hypot(*(loc - truth)))
             peaks.append(peak)

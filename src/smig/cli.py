@@ -90,8 +90,8 @@ def _cmd_image(args):
     array = cfgmod.build_array(cfg)
     grid = cfgmod.build_grid(cfg)
     k = cfgmod.build_imaging_wavenumber(cfg)
-    image = imaging.image(_scattered_matrix(cfg, args), grid, array, k,
-                          cfgmod.build_rank_policy(cfg))
+    [image] = imaging.image([_scattered_matrix(cfg, args)], grid, array, k,
+                            cfgmod.build_rank_policy(cfg))
     loc, peak = imaging.argmax(image)
     fmt = args.format or cfg.output.format
     meta = _meta(cfg)
@@ -129,9 +129,9 @@ def _cmd_spectrum(args):
     cfg = _load_config(args)
     out = _out_dir(cfg, args)
     decomp = imaging.svd(_scattered_matrix(cfg, args))
+    m = imaging.select_rank(decomp, cfgmod.build_rank_policy(cfg))  # raises before any file
     path = os.path.join(out, "spectrum.csv")
     fileio.write_spectrum(decomp, path, meta=_meta(cfg))
-    m = imaging.select_rank(decomp, cfgmod.build_rank_policy(cfg))
     tau = decomp.singular_values
     print("rank_selected=%d tau_1=%r tau_2_ratio=%r file=%s"
           % (m, float(tau[0]), float(tau[1] / tau[0]) if tau.size > 1 else 0.0, path))

@@ -15,6 +15,7 @@ symlink at the path is replaced, not written through).
 """
 
 import contextlib
+import math
 import os
 import re
 
@@ -51,14 +52,13 @@ def write_sparams(s_matrix, path, meta=None):
     """Write an N x N matrix as the v1 CSV format; like the reader, finite values only."""
     if not np.all(np.isfinite(s_matrix.entries)):
         raise DataError("%s: refusing to write non-finite entries" % path)
-    n = s_matrix.size
+    # tolist() yields Python complex values, whose parts' repr is _fmt's.
+    rows = ["# smig-sparams v1, N=%d, f_hz=%s\nm,n,re,im\n"
+            % (s_matrix.size, _fmt(s_matrix.frequency_hz))]
+    for m, row in enumerate(s_matrix.entries.tolist(), start=1):
+        rows += ["%d,%d,%r,%r\n" % (m, j, v.real, v.imag) for j, v in enumerate(row, start=1)]
     with _create(path) as fh:
-        fh.write("# smig-sparams v1, N=%d, f_hz=%s\n" % (n, _fmt(s_matrix.frequency_hz)))
-        fh.write("m,n,re,im\n")
-        for m in range(n):
-            for j in range(n):
-                v = s_matrix.entries[m, j]
-                fh.write("%d,%d,%s,%s\n" % (m + 1, j + 1, _fmt(v.real), _fmt(v.imag)))
+        fh.write("".join(rows))
     if meta is not None:
         write_sidecar(path, meta)
 
@@ -74,30 +74,32 @@ def read_sparams(path):
         f_hz = float(match.group(2))
     except ValueError:
         raise DataError("%s: malformed header %r" % (path, lines[0])) from None
+    if not n:
+        raise DataError("%s: header says N=0" % path)
     if n * n >= len(lines):  # checked before the N x N allocation
         raise DataError("%s: header says N=%d, but the file has %d lines" % (path, n, len(lines)))
-    entries = np.full((n, n), np.nan + 0j, dtype=complex)
-    seen = set()
+    values = {}  # (m, j) -> complex, row by row; the array is built once at the end
     for raw in lines[1:]:
         line = raw.strip()
         if not line or line.startswith("#") or line.startswith("m,"):
             continue
         try:
             m, j, re_part, im_part = line.split(",")
-            m, j, value = int(m), int(j), complex(float(re_part), float(im_part))
+            m, j, re_part, im_part = int(m), int(j), float(re_part), float(im_part)
         except ValueError:
             raise DataError("%s: malformed row %r" % (path, raw)) from None
         if not (1 <= m <= n and 1 <= j <= n):
             raise DataError("%s: index (%d,%d) outside 1..%d" % (path, m, j, n))
-        if (m, j) in seen:
+        if (m, j) in values:
             raise DataError("%s: duplicate entry (%d,%d)" % (path, m, j))
-        seen.add((m, j))
-        if not np.isfinite(value):
+        if not (math.isfinite(re_part) and math.isfinite(im_part)):
             raise DataError("%s: non-finite value at (%d,%d)" % (path, m, j))
-        entries[m - 1, j - 1] = value
-    if len(seen) != n * n:
-        missing = [(m + 1, j + 1) for m in range(n) for j in range(n) if (m + 1, j + 1) not in seen]
+        values[m, j] = complex(re_part, im_part)
+    if len(values) != n * n:
+        missing = [(m, j) for m in range(1, n + 1) for j in range(1, n + 1) if (m, j) not in values]
         raise DataError("%s: missing entries %s" % (path, missing[:8]))
+    entries = np.array([values[m, j] for m in range(1, n + 1) for j in range(1, n + 1)],
+                       dtype=complex).reshape(n, n)
     kind = KIND_ZERO_DIAGONAL if np.all(np.diag(entries) == 0) else KIND_FULL
     return ScatteringMatrix(entries, kind, "file", f_hz)
 

@@ -6,8 +6,10 @@ Both imaging functions of the paper are one map, image, of the projection
 The matrix kind picks M, in select_rank alone: a zero-diagonal matrix
 images its first pair, a full matrix the pairs its rank policy keeps.
 
-The map sweeps the grid in chunks of points on one thread per usable CPU
-(at most _MAX_WORKERS).  Every chunk writes its own slice of the map, so
+image maps a batch of matrices in one sweep of the grid, in chunks of
+points on one thread per usable CPU (at most _MAX_WORKERS).  Each chunk
+builds its steering vectors once and projects them onto the stacked
+singular vectors of every matrix; it writes its own slice of each map, so
 the values do not depend on the thread count, and the chunks in flight
 together hold at most _CHUNK_DISTANCES grid-to-antenna distances.
 """
@@ -227,15 +229,37 @@ def _hankel_table(grid, array, k):
     Distance to an antenna is convex over the grid rectangle, so its
     largest value is at the farthest corner and its smallest at the
     antenna clamped into the rectangle.  The size rule sees the whole
-    map's distances.
+    map's distances.  The table also holds the exact values of the
+    distances below its floor, from one hankel1_0 call for the whole map.
     """
     xs, ys = grid.x_axis(), grid.y_axis()
     low, high = np.array([xs[0], ys[0]]), np.array([xs[-1], ys[-1]])
     pos = array.positions
     far = np.maximum(np.abs(pos - low), np.abs(pos - high))
     near = np.clip(pos, low, high) - pos
-    return specfun.hankel1_0_table(k.k, np.hypot(*near.T).min(), np.hypot(*far.T).max(),
-                                   xs.size * ys.size * array.count)
+    table = specfun.hankel1_0_table(k.k, np.hypot(*near.T).min(), np.hypot(*far.T).max(),
+                                    xs.size * ys.size * array.count)
+    return table.with_exact(_distances_below(xs, ys, pos, table.lo))
+
+
+def _distances_below(xs, ys, positions, lo):
+    """Grid-to-antenna distances in (0, lo), at most _CHUNK_DISTANCES of them.
+
+    Each antenna's candidates are the grid box within lo of it.  A distance
+    is np.hypot(x - ax, y - ay) on em.incident_field_many's operands, so it
+    is bit for bit the distance a sweep chunk sees; distances past the
+    budget are left to the table's per-chunk fallback.
+    """
+    found = []
+    room = _CHUNK_DISTANCES
+    for ax, ay in positions:
+        ix = np.flatnonzero(np.abs(xs - ax) < lo)
+        iy = np.flatnonzero(np.abs(ys - ay) < lo)
+        ix = ix[:room // max(iy.size, 1)]  # the box holds at most room distances
+        d = np.hypot(xs[ix, None] - ax, ys[iy] - ay).ravel()
+        found.append(d[(d > 0) & (d < lo)])
+        room -= found[-1].size
+    return np.concatenate(found)
 
 
 def _worker_count():
@@ -247,13 +271,37 @@ def _worker_count():
     return min(cpus, _MAX_WORKERS)
 
 
-def _projection_map(decomp, grid, array, k, m_used, steering):
-    u = decomp.left_vectors[:, :m_used]
-    v_conj = decomp.right_vectors[:, :m_used].conj()
+def _column_groups(decomps, ranks, count):
+    """The maps' singular vectors, stacked in groups of at most count columns.
+
+    Returns (first, u, v_conj, bounds) per group: u and v_conj stack the
+    first ranks[i] left and conjugated right vectors of maps first, first
+    + 1, ..., and bounds[j] is the (start, stop) of map first + j's columns.
+    A group holds one matrix at least, so with count the antenna count a
+    chunk's projections hold no more values than its steering block.
+    """
+    groups = []
+    width = count  # columns in the last group
+    for i, (decomp, m) in enumerate(zip(decomps, ranks)):
+        if width + m > count:
+            groups.append((i, [], [], []))
+            width = 0
+        _, u, v_conj, bounds = groups[-1]
+        u.append(decomp.left_vectors[:, :m])
+        v_conj.append(decomp.right_vectors[:, :m].conj())
+        bounds.append((width, width + m))
+        width += m
+    return [(first, np.concatenate(u, axis=1), np.concatenate(v_conj, axis=1), bounds)
+            for first, u, v_conj, bounds in groups]
+
+
+def _projection_maps(decomps, ranks, grid, array, k, steering):
+    """values[i] is map i's projection over the flattened grid: one sweep for all maps."""
+    groups = _column_groups(decomps, ranks, array.count)
     pts = lattice(grid.x_axis(), grid.y_axis())
     table = _hankel_table(grid, array, k) if steering == STEERING_HANKEL else None
     n = pts.shape[0]
-    vals = np.empty(n, dtype=float)
+    vals = np.empty((len(decomps), n), dtype=float)
     workers = _worker_count()
     block = max(1, _CHUNK_DISTANCES // (array.count * workers))
     # A one-point chunk takes BLAS's dot kernel, which rounds differently from
@@ -277,9 +325,11 @@ def _projection_map(decomp, grid, array, k, m_used, steering):
                 lo, hi = chunk
                 w, excluded = _steering_block(pts[lo:hi], array, k, steering, table)
                 np.conjugate(w, out=w)
-                part = np.abs(np.sum((w @ u) * (w @ v_conj), axis=1))
-                part[excluded] = 0.0
-                vals[lo:hi] = part
+                for first, u, v_conj, columns in groups:
+                    prod = (w @ u) * (w @ v_conj)
+                    for i, (start, stop) in enumerate(columns, first):
+                        vals[i, lo:hi] = np.abs(np.sum(prod[:, start:stop], axis=1))
+                vals[:, lo + np.flatnonzero(excluded)] = 0.0
         except BaseException as exc:  # re-raised in the calling thread, no thread traceback
             errors.append(exc)
 
@@ -291,32 +341,40 @@ def _projection_map(decomp, grid, array, k, m_used, steering):
         thread.join()
     if errors:
         raise errors[0]
-    return vals.reshape(grid.shape)
+    return vals.reshape((len(decomps),) + grid.shape)
 
 
-def image(s_matrix, grid, array, k, policy=RankPolicy(), steering=STEERING_HANKEL):
-    """Map of the projection sum over the singular pairs select_rank picks.
+def image(matrices, grid, array, k, policy=RankPolicy(), steering=STEERING_HANKEL):
+    """One map per matrix of the sequence matrices, all from one sweep of the grid.
 
-    On zero-diagonal data that is the first pair and the values lie in [0, 1].
+    Each map is the projection sum over the singular pairs select_rank
+    picks for its matrix; on zero-diagonal data that is the first pair and
+    the values lie in [0, 1].  Every matrix must be N x N for the N-antenna
+    array.
     """
-    decomp = svd(s_matrix)
-    m_used = select_rank(decomp, policy)
-    values = _projection_map(decomp, grid, array, k, m_used, steering)
-    return ImageMap(grid, values, m_used, s_matrix.frequency_hz, s_matrix.kind)
+    for s_matrix in matrices:
+        if s_matrix.size != array.count:
+            raise DataError("a %d x %d matrix cannot be imaged with %d antennas"
+                            % (s_matrix.size, s_matrix.size, array.count))
+    decomps = [svd(s_matrix) for s_matrix in matrices]
+    ranks = [select_rank(decomp, policy) for decomp in decomps]
+    values = _projection_maps(decomps, ranks, grid, array, k, steering)
+    return [ImageMap(grid, v, m, s_matrix.frequency_hz, s_matrix.kind)
+            for s_matrix, v, m in zip(matrices, values, ranks)]
 
 
 def image_full(s_matrix, grid, array, k, policy=RankPolicy(), steering=STEERING_HANKEL):
-    """image of full-kind data."""
+    """image of one full-kind matrix."""
     if s_matrix.kind != KIND_FULL:
         raise KindError("image_full expects a full-kind matrix")
-    return image(s_matrix, grid, array, k, policy, steering)
+    return image([s_matrix], grid, array, k, policy, steering)[0]
 
 
 def image_diag(s_matrix, grid, array, k, steering=STEERING_HANKEL):
-    """image of zero-diagonal data."""
+    """image of one zero-diagonal matrix."""
     if s_matrix.kind != KIND_ZERO_DIAGONAL:
         raise KindError("image_diag expects a zero_diagonal-kind matrix")
-    return image(s_matrix, grid, array, k, steering=steering)
+    return image([s_matrix], grid, array, k, steering=steering)[0]
 
 
 def argmax(image):

@@ -26,14 +26,16 @@ as a 1-element batch and unwrapped):
     reads it chunk by chunk.  Segments are 0.05 rad wide in |k| d,
     degree 7.  Below |k| d = 0.4 the log singularity at d = 0 is too
     close for the table and hankel1_0 is used; at that floor the first
-    segment's centre is 17 half-widths from the singularity.  A table
+    segment's centre is 17 half-widths from the singularity.  The sweep
+    computes the map's below-floor values once, in one hankel1_0 call
+    before its chunks start (DistanceTable.with_exact).  A table
     serving fewer than 4 distances per node is not built: its node
     evaluations would cost more than it saves.  hankel1_0 remains the
     reference; the table agrees with it to about 1e-13 relative.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -296,18 +298,21 @@ _TABLE_MIN_RATIO = 4
 
 @dataclass(frozen=True, eq=False)
 class DistanceTable:
-    """H_0^(1)(k d) for real distances d: Chebyshev table on [lo, hi], hankel1_0 elsewhere.
+    """H_0^(1)(k d) for real distances d: Chebyshev table on [lo, hi], exact values elsewhere.
 
     Built by hankel1_0_table.  coef holds one row per Chebyshev order and
     one column per segment; a table with no segments sends every distance
-    to hankel1_0.  Distances outside [lo, hi] (below the floor, d = 0, NaN)
-    always take hankel1_0, so its errors are unchanged.
+    to hankel1_0.  A distance outside [lo, hi] takes its value from exact,
+    the {distance: H_0^(1)} values of with_exact, or else from one
+    hankel1_0 call per call of the table (below the floor, d = 0, NaN), so
+    hankel1_0's errors are unchanged.
     """
 
     k: complex
     lo: float
     hi: float
     coef: np.ndarray
+    exact: dict = field(default_factory=dict)
 
     def __call__(self, d):
         d = np.asarray(d, dtype=float)
@@ -334,8 +339,28 @@ class DistanceTable:
         out = coef[0][seg] + t * b1 - b2
         rest = ~tabulated
         if rest.any():
-            out[rest] = hankel1_0(self.k * d[rest])
+            far = d[rest]
+            values = [self.exact.get(x) for x in far.tolist()]
+            missing = [i for i, value in enumerate(values) if value is None]
+            if missing:
+                for i, value in zip(missing, hankel1_0(self.k * far[missing]).tolist()):
+                    values[i] = value
+            out[rest] = values
         return out
+
+    def with_exact(self, d):
+        """This table, also holding H_0^(1)(k d) for distances d in (0, lo) from one hankel1_0 call.
+
+        A table without segments sends every distance to hankel1_0 and is
+        returned as it is.  Each value is bit for bit the one the table's
+        own fallback call would give: hankel1_0's Miller batch starts at the
+        same order for any batch with |z| <= 1, and below the floor |k| d <
+        0.4.  A distance is evaluated once however often d repeats it.
+        """
+        d = list(dict.fromkeys(np.asarray(d, dtype=float).tolist()))
+        if not self.coef.shape[1] or not d:
+            return self
+        return replace(self, exact=dict(zip(d, hankel1_0(self.k * np.array(d)).tolist())))
 
 
 def hankel1_0_table(k, lo, hi, count):

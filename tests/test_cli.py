@@ -92,6 +92,26 @@ def test_image_of_all_zero_data_is_rank_error(tmp_path, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("error: RankError:")
 
 
+def test_spectrum_of_all_zero_data_writes_no_file(tmp_path, capsys):
+    rc = main(["spectrum", "--out", str(tmp_path),
+               "--override", "anomaly.1.permittivity_rel=20",
+               "--override", "anomaly.1.conductivity_s_per_m=0.2",
+               "--override", "synthesis.contamination_amplitude_rel=0"])
+    err = capsys.readouterr().err
+    assert rc == 1 and err.startswith("error: RankError:")
+    assert not (tmp_path / "spectrum.csv").exists()
+
+
+def test_measured_image_of_another_array_size_is_one_line_error(tmp_path, capsys):
+    assert main(["simulate", "--out", str(tmp_path), "--override", "array.count=8"]) == 0
+    rc = main(["image", "--out", str(tmp_path), *FAST,
+               "--stot", str(tmp_path / "sparams_tot.csv"),
+               "--sinc", str(tmp_path / "sparams_inc.csv")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error: DataError:")
+
+
 def test_simulate_then_measured_image_matches_synthetic(tmp_path, capsys):
     sim_dir = tmp_path / "sim"
     rc = main(["simulate", "--out", str(sim_dir),

@@ -235,10 +235,20 @@ def test_sparams_malformed_row(tmp_path):
         fileio.read_sparams(path)
 
 
+def test_sparams_first_fault_is_reported(tmp_path):
+    # An index out of range, then a malformed row: the first is reported.
+    path = tmp_path / "s.csv"
+    path.write_text("# smig-sparams v1, N=2, f_hz=1.0\nm,n,re,im\n"
+                    "1,1,0.0,0.0\n3,1,0.0,0.0\n1,two,0.0,0.0\n2,2,inf,0.0\n")
+    with pytest.raises(DataError, match=r"index \(3,1\) outside 1\.\.2"):
+        fileio.read_sparams(path)
+
+
 @pytest.mark.parametrize("content", [
     b"# smig-sparams v1, N=1, f_hz=abc\nm,n,re,im\n1,1,0.0,0.0\n",
     b"# smig-sparams v1, N=99999999, f_hz=1.0\nm,n,re,im\n1,1,0.0,0.0\n",
     b"# smig-sparams v1, N=1, f_hz=1.0\nm,n,re,im\n1,1,0.0,\xff\xfe\n",
+    b"# smig-sparams v1, N=0, f_hz=1.0\nm,n,re,im\n",
 ])
 def test_sparams_bad_header_or_bytes_is_data_error(tmp_path, content):
     path = tmp_path / "s.csv"

@@ -186,7 +186,7 @@ def test_image_is_both_imaging_functions(contaminated_fixture, paper_array, pape
     for data, wrapped in ((contaminated_fixture, imaging.image_full(
             contaminated_fixture, coarse_grid, paper_array, paper_k)),
             (zero_diag, imaging.image_diag(zero_diag, coarse_grid, paper_array, paper_k))):
-        image = imaging.image(data, coarse_grid, paper_array, paper_k)
+        [image] = imaging.image([data], coarse_grid, paper_array, paper_k)
         assert np.array_equal(image.values, wrapped.values)
         assert (image.rank_used, image.matrix_kind) == (wrapped.rank_used, wrapped.matrix_kind)
 
@@ -536,6 +536,70 @@ def test_one_table_per_map(monkeypatch, contaminated_fixture, paper_array, paper
     assert len(builds) == 1
     imaging.image_full(contaminated_fixture, grid, paper_array, paper_k)
     assert len(builds) == 2
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_table1_map_makes_two_hankel_calls(monkeypatch, contaminated_fixture, paper_array,
+                                           paper_k, default_grid, workers):
+    # One call for the table's nodes and one for the map's below-floor
+    # distances, whatever the chunks and threads.
+    table = imaging._hankel_table(default_grid, paper_array, paper_k)
+    calls = []
+    exact = specfun.hankel1_0
+
+    def counted(z):
+        calls.append(np.size(z))
+        return exact(z)
+
+    monkeypatch.setattr(specfun, "hankel1_0", counted)
+    monkeypatch.setattr(imaging, "_worker_count", lambda: workers)
+    imaging.image_diag(imaging.zero_diagonal(contaminated_fixture), default_grid, paper_array,
+                       paper_k)
+    assert calls == [table.coef.size, len(table.exact)] and len(table.exact) > 600
+
+
+def test_below_floor_values_keep_their_budget(monkeypatch, contaminated_fixture, paper_array,
+                                              paper_k):
+    # The search holds at most the budget; distances it leaves out take the
+    # per-chunk fallback, and the map does not change.
+    grid = ImagingGrid(-0.1, 0.1, -0.1, 0.1, 0.002)
+    xs, ys, pos = grid.x_axis(), grid.y_axis(), paper_array.positions
+    lo = specfun._TABLE_FLOOR / abs(paper_k.k)
+    found = imaging._distances_below(xs, ys, pos, lo)
+    assert found.size > 100 and np.all((found > 0) & (found < lo))
+    monkeypatch.setattr(imaging, "_CHUNK_DISTANCES", 100)
+    assert imaging._distances_below(xs, ys, pos, lo).size <= 100
+    monkeypatch.undo()
+    data = imaging.zero_diagonal(contaminated_fixture)
+    ref = imaging.image_diag(data, grid, paper_array, paper_k).values
+    search = imaging._distances_below
+    monkeypatch.setattr(imaging, "_distances_below", lambda *args: search(*args)[::3])
+    assert np.array_equal(imaging.image_diag(data, grid, paper_array, paper_k).values, ref)
+
+
+def test_batched_maps_match_their_one_matrix_maps(monkeypatch, contaminated_fixture,
+                                                   paper_array, paper_k, coarse_grid):
+    # Full-rank matrices fill column groups of their own, rank-1 ones share
+    # one; every map matches its own sweep, from one table for the batch.
+    zero_diag = imaging.zero_diagonal(contaminated_fixture)
+    noisy = [forward.add_noise(zero_diag, 20.0, seed=seed) for seed in range(20)]
+    batch = [contaminated_fixture, zero_diag, *noisy, contaminated_fixture]
+    single = [imaging.image([s], coarse_grid, paper_array, paper_k)[0] for s in batch]
+    builds = []
+    build = specfun.hankel1_0_table
+    monkeypatch.setattr(specfun, "hankel1_0_table", lambda *args: builds.append(1) or build(*args))
+    maps = imaging.image(batch, coarse_grid, paper_array, paper_k)
+    assert len(builds) == 1 and len(maps) == len(batch)
+    assert single[0].rank_used == paper_array.count
+    for got, ref in zip(maps, single):
+        assert (got.rank_used, got.matrix_kind) == (ref.rank_used, ref.matrix_kind)
+        assert np.all(np.abs(got.values - ref.values) <= 1e-14)
+    assert imaging.image([], coarse_grid, paper_array, paper_k) == []
+
+
+def test_image_rejects_a_matrix_of_another_size(born_fixture, coarse_grid, paper_k):
+    with pytest.raises(DataError, match="16 x 16 matrix .* 8 antennas"):
+        imaging.image([born_fixture], coarse_grid, em.antenna_array(8, 0.09), paper_k)
 
 
 def test_sweep_chunks_keep_the_distance_budget(monkeypatch, small_anomaly, paper_medium, paper_k,

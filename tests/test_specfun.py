@@ -262,6 +262,22 @@ def test_distance_table_over_explicit_range(k):
     assert np.array_equal(table(outside), hankel1_0(k * outside))
 
 
+@pytest.mark.parametrize("k", _TABLE_KS, ids=["lossy", "lossless"])
+def test_distance_table_exact_values(k):
+    # Below-floor distances come from with_exact's one call; one it lacks
+    # gets hankel1_0's own value, bit for bit, as does every distance of a
+    # table without segments.
+    d = np.linspace(0.5, 30.0, 20001) / abs(k)
+    table = specfun.hankel1_0_table(k, d[0], d[-1], 10 ** 6)
+    below = np.array([0.05, 0.2, 0.39]) / abs(k)
+    held = table.with_exact(below[:2])
+    assert list(held.exact) == below[:2].tolist()
+    assert np.array_equal(held(below), hankel1_0(k * below))
+    assert np.array_equal(held(d), table(d))
+    bare = specfun.DistanceTable(k, table.lo, table.hi, table.coef[:, :0])
+    assert bare.with_exact(below) is bare
+
+
 def test_distance_table_keeps_exact_errors():
     # With segments or without (the size rule), d = 0 and |k d| past
     # MAX_ARGUMENT lie outside [lo, hi] and raise from hankel1_0.
