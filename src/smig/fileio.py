@@ -6,16 +6,22 @@ S-parameters travel as CSV with a one-line header:
     m,n,re,im
 
 Values are written with the shortest round-trip decimal representation,
-so write -> read is bit-exact.  Maps go out as x,y,value CSV or as binary
-P5 PGM (row 0 = y_max), each with a sidecar of the map's frequency, kind,
-rank and maximum; spectra as m,tau,ratio CSV.  Writers accept an optional
-meta mapping whose entries (seed, config hash, ...) land in a sidecar next
-to the file.  Every writer replaces an existing file with a new one (a
-symlink at the path is replaced, not written through).
+so write -> read is bit-exact.  The writer formats the whole body with one
+%-format; the reader splits every data row, converts the fields column by
+column, and runs the range, duplicate and finiteness checks on whole
+arrays.  A faulty file is reported by its first faulty row in file order
+(within a row: malformed, index out of range, duplicate, non-finite), and
+a file without such rows by its missing entries.
+
+Maps go out as x,y,value CSV or as binary P5 PGM (row 0 = y_max), each
+with a sidecar of the map's frequency, kind, rank and maximum; spectra as
+m,tau,ratio CSV.  Writers accept an optional meta mapping whose entries
+(seed, config hash, ...) land in a sidecar next to the file.  Every
+writer replaces an existing file with a new one (a symlink at the path is
+replaced, not written through).
 """
 
 import contextlib
-import math
 import os
 import re
 
@@ -52,19 +58,52 @@ def write_sparams(s_matrix, path, meta=None):
     """Write an N x N matrix as the v1 CSV format; like the reader, finite values only."""
     if not np.all(np.isfinite(s_matrix.entries)):
         raise DataError("%s: refusing to write non-finite entries" % path)
-    # tolist() yields Python complex values, whose parts' repr is _fmt's.
-    rows = ["# smig-sparams v1, N=%d, f_hz=%s\nm,n,re,im\n"
-            % (s_matrix.size, _fmt(s_matrix.frequency_hz))]
-    for m, row in enumerate(s_matrix.entries.tolist(), start=1):
-        rows += ["%d,%d,%r,%r\n" % (m, j, v.real, v.imag) for j, v in enumerate(row, start=1)]
+    n = s_matrix.size
+    # One "m,n,re,im" row per entry from one % format over a flat tuple;
+    # tolist() yields Python floats, whose repr is _fmt's.
+    args = [None] * (4 * n * n)
+    args[0::4] = [m for m in range(1, n + 1) for _ in range(n)]
+    args[1::4] = list(range(1, n + 1)) * n
+    args[2::4] = s_matrix.entries.real.ravel().tolist()
+    args[3::4] = s_matrix.entries.imag.ravel().tolist()
     with _create(path) as fh:
-        fh.write("".join(rows))
+        fh.write("# smig-sparams v1, N=%d, f_hz=%s\nm,n,re,im\n" % (n, _fmt(s_matrix.frequency_hz)))
+        fh.write("%d,%d,%r,%r\n" * (n * n) % tuple(args))
     if meta is not None:
         write_sidecar(path, meta)
 
 
+def _parse_column(texts, kind):
+    """kind(text) for each text up to the first that kind rejects, and that count."""
+    try:
+        return list(map(kind, texts)), len(texts)
+    except ValueError:
+        values = []
+        for text in texts:
+            try:
+                values.append(kind(text))
+            except ValueError:
+                break
+        return values, len(values)
+
+
+def _first_out_of_range(indices, n):
+    """Position of the first index outside 1..n, len(indices) if none."""
+    if not indices or (min(indices) >= 1 and max(indices) <= n):
+        return len(indices)
+    return next(i for i, v in enumerate(indices) if not 1 <= v <= n)
+
+
 def read_sparams(path):
-    """Read a v1 CSV file; demands complete N x N coverage, no duplicates."""
+    """Read a v1 CSV file; demands complete N x N coverage, no duplicates.
+
+    The data rows are split and converted column by column, and the
+    range, duplicate and finiteness checks run on whole arrays.  A file
+    with faults reports the first faulty row in file order; within a row
+    a malformed field comes first, then an index out of range, a
+    duplicate (m, n), a non-finite value.  Missing entries are reported
+    only for a file without such faults.
+    """
     with open(path, errors="replace") as fh:  # stray bytes fail as malformed rows
         lines = fh.read().splitlines()
     if not lines or not (match := _HEADER_RE.match(lines[0])):
@@ -78,28 +117,50 @@ def read_sparams(path):
         raise DataError("%s: header says N=0" % path)
     if n * n >= len(lines):  # checked before the N x N allocation
         raise DataError("%s: header says N=%d, but the file has %d lines" % (path, n, len(lines)))
-    values = {}  # (m, j) -> complex, row by row; the array is built once at the end
-    for raw in lines[1:]:
-        line = raw.strip()
-        if not line or line.startswith("#") or line.startswith("m,"):
-            continue
-        try:
-            m, j, re_part, im_part = line.split(",")
-            m, j, re_part, im_part = int(m), int(j), float(re_part), float(im_part)
-        except ValueError:
-            raise DataError("%s: malformed row %r" % (path, raw)) from None
-        if not (1 <= m <= n and 1 <= j <= n):
-            raise DataError("%s: index (%d,%d) outside 1..%d" % (path, m, j, n))
-        if (m, j) in values:
-            raise DataError("%s: duplicate entry (%d,%d)" % (path, m, j))
-        if not (math.isfinite(re_part) and math.isfinite(im_part)):
-            raise DataError("%s: non-finite value at (%d,%d)" % (path, m, j))
-        values[m, j] = complex(re_part, im_part)
-    if len(values) != n * n:
-        missing = [(m, j) for m in range(1, n + 1) for j in range(1, n + 1) if (m, j) not in values]
-        raise DataError("%s: missing entries %s" % (path, missing[:8]))
-    entries = np.array([values[m, j] for m in range(1, n + 1) for j in range(1, n + 1)],
-                       dtype=complex).reshape(n, n)
+    rows = [raw for raw in lines[1:]
+            if (line := raw.strip()) and not line.startswith(("#", "m,"))]
+    fields = [raw.strip().split(",") for raw in rows]
+    # Rows before the first malformed one: four fields that int/float accept.
+    good = len(fields)
+    if list(map(len, fields)).count(4) != good:
+        good = next(i for i, row in enumerate(fields) if len(row) != 4)
+    columns = list(zip(*fields[:good])) or [()] * 4
+    parsed = []
+    for column, kind in zip(columns, (int, int, float, float)):
+        values, good = _parse_column(column[:good], kind)
+        parsed.append(values)
+    ms, js, re_parts, im_parts = (values[:good] for values in parsed)
+    # Rows before the first index out of range; the remaining checks look at these.
+    valid = min(_first_out_of_range(ms, n), _first_out_of_range(js, n))
+    keys = np.array(ms[:valid], dtype=np.intp) * n + np.array(js[:valid], dtype=np.intp) - (n + 1)
+    re_parts = np.array(re_parts[:valid], dtype=float)
+    im_parts = np.array(im_parts[:valid], dtype=float)
+    counts = np.bincount(keys, minlength=n * n)
+    # Each check's first faulty row as (row, rank within a row, message);
+    # the duplicate and finiteness checks only see rows before the others'.
+    faults = []
+    if good < len(rows):
+        faults.append((good, 0, "malformed row %r" % (rows[good],)))
+    if valid < good:
+        faults.append((valid, 1, "index (%d,%d) outside 1..%d" % (ms[valid], js[valid], n)))
+    if counts.max(initial=0) > 1:
+        first = np.full(n * n, valid)
+        np.minimum.at(first, keys, np.arange(valid))
+        i = int(np.flatnonzero(first[keys] != np.arange(valid))[0])
+        faults.append((i, 2, "duplicate entry (%d,%d)" % (ms[i], js[i])))
+    finite = np.isfinite(re_parts) & np.isfinite(im_parts)
+    if not finite.all():
+        i = int(np.flatnonzero(~finite)[0])
+        faults.append((i, 3, "non-finite value at (%d,%d)" % (ms[i], js[i])))
+    if faults:
+        raise DataError("%s: %s" % (path, min(faults)[2]))
+    if valid != n * n:
+        missing = [(int(k) // n + 1, int(k) % n + 1) for k in np.flatnonzero(counts == 0)[:8]]
+        raise DataError("%s: missing entries %s" % (path, missing))
+    entries = np.empty(n * n, dtype=complex)
+    entries.real[keys] = re_parts
+    entries.imag[keys] = im_parts
+    entries = entries.reshape(n, n)
     kind = KIND_ZERO_DIAGONAL if np.all(np.diag(entries) == 0) else KIND_FULL
     return ScatteringMatrix(entries, kind, "file", f_hz)
 

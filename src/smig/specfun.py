@@ -11,12 +11,22 @@ as a 1-element batch and unwrapped):
   * |z| <= 25: downward (Miller) recurrence for a whole batch of orders,
     normalized with J0 + 2*sum J_{2m} = 1; Y0/Y1 from the logarithmic
     Neumann series over the same batch, so no fresh cancellation enters.
+    The recurrence takes 2/z once and scales it by each order s.  It checks
+    for overflow every 8 orders: between two checks the values grow by at
+    most (2s/|z| + 1)^8 < 3e82 (|z| >= 1e-6, s <= MAX_ARGUMENT + 52), and a
+    point past the 2^664 (~1.2e200) limit is scaled by 2^-664, exactly.
+    The Neumann sums are two coefficient-vector products, over the even and
+    over the odd orders.  Each value is rounded alike whatever the batch's
+    width (in-place complex products and BLAS sums would not be); the
+    starting order still follows the batch's largest |z|.
   * |z| > 25: Hankel asymptotic expansions (14 terms; min term < 1e-14
     at the switchover) for orders 0 and 1.  H^(1) is taken from its own
     expansion; J and Y are the half-sum and half-difference of H^(1) and
     H^(2), which do not cancel.  Higher J orders stay on the Miller batch.
   * The truncated Jacobi-Anger sum J_0(x) + 2 sum i^s J_s(x) cos(s theta)
-    is evaluated for a batch of points and angles from one Miller batch.
+    is evaluated for a batch of points and angles from one Miller batch;
+    covering_truncation picks the order S for arguments up to x from the
+    term bound (x/2)^S / S!.
   * Bulk H_0^(1)(k d) over many real distances d at one k, the imaging
     sweep: for fixed k the function is smooth in d away from d = 0, so a
     piecewise Chebyshev table, built from hankel1_0 at the nodes
@@ -39,7 +49,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DomainError, SingularityError
+from .errors import DomainError, SingularityError, TruncationError
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -50,7 +60,9 @@ _SERIES_CUTOFF = 25.0
 # Miller normalizer and Neumann tail both need orders ~|z| past the last
 # oscillation; +40 keeps the dropped tail below 1e-18 at |z| = 25.
 _ORDER_PAD = 40
-_RESCALE_LIMIT = 1e250
+# Rescale check interval (orders) and threshold; see _j_sequence for the bound.
+_RESCALE_STRIDE = 8
+_RESCALE_LIMIT = 2.0 ** 664  # about 1.2e200
 
 
 @dataclass(frozen=True)
@@ -69,6 +81,27 @@ class SeriesTruncation:
             raise DomainError("SeriesTruncation.max_order must be >= 1, got %r" % (self.max_order,))
         if not self.abs_tol > 0:
             raise DomainError("SeriesTruncation.abs_tol must be > 0, got %r" % (self.abs_tol,))
+
+
+def covering_truncation(x, abs_tol=SeriesTruncation.abs_tol):
+    """The truncation of a Jacobi-Anger sum over arguments in [0, x].
+
+    max_order is the smallest order S >= 64 (the default) with
+    (x/2)^S / S! <= abs_tol.  That is a bound on |J_S(x)|, and for
+    abs_tol < 1 the bounds of the dropped orders fall by the ratio
+    x / (2 (S + 1)) < 1 per order.  An x that needs an order past
+    MAX_ORDER, or that is not finite, raises TruncationError.
+    """
+    bound = 1.0
+    order = 0
+    while not bound <= abs_tol or order < SeriesTruncation.max_order:
+        order += 1
+        if order > MAX_ORDER:
+            raise TruncationError(
+                "Jacobi-Anger sum at x = %.6g needs an order past %d for tolerance %g"
+                % (x, MAX_ORDER, abs_tol))
+        bound *= (x / 2.0) / order
+    return SeriesTruncation(order, abs_tol)
 
 
 def _as_batch(z):
@@ -91,35 +124,57 @@ def _j_sequence(z, s_max):
     (s_max+1,) + z.shape.  Valid for any |z| <= MAX_ARGUMENT (larger or
     non-finite z raises DomainError); intended workhorse for |z| <= 25
     where it carries full double precision.
+
+    The unnormalized values grow downward.  Every _RESCALE_STRIDE orders,
+    a point whose |J_s| + |J_{s+1}| exceeds _RESCALE_LIMIT is scaled by
+    the limit's inverse, a power of two, so a rescale rounds nothing.  One
+    step grows max(|J_s|, |J_{s+1}|) by at most 2s/|z| + 1.  With |z| >=
+    1e-6 (smaller z take the ascending series) and s <= MAX_ARGUMENT +
+    _ORDER_PAD + 12, eight steps grow |J_s| + |J_{s+1}| by less than
+    2 (2.01e10 + 1)^8 < 6e82; from at most the limit, 1.2e200, that stays
+    below the double range (1.8e308).
     """
     z, scalar = _as_batch(z)
     az = np.abs(z)
     # Below this the two-term ascending series is exact to double precision
     # and the recurrence factor 2s/z would run out of exponent headroom.
     tiny = az < 1e-6
-    zsafe = np.where(tiny, 1.0, z)
+    two_over_z = 2.0 / np.where(tiny, 1.0, z)
 
     top = float(az.max(initial=0.0))
     start = max(s_max, int(np.ceil(top)) + _ORDER_PAD) + 12
-    jp = np.zeros_like(zsafe)
-    jc = np.full_like(zsafe, 1e-30)
-    out = np.zeros((s_max + 1,) + zsafe.shape, dtype=complex)
-    norm = np.zeros_like(zsafe)
+    jp = np.zeros_like(two_over_z)
+    jc = np.full_like(two_over_z, 1e-30)
+    jm = np.empty_like(two_over_z)
+    ratio = np.empty_like(two_over_z)
+    out = np.empty((s_max + 1,) + z.shape, dtype=complex)
+    norm = np.zeros_like(two_over_z)  # sum of the even orders >= 2
+    # No complex product is written over one of its operands: numpy's
+    # in-place complex multiply rounds differently on short arrays, and a
+    # value must not depend on the batch it is computed in.
     for s in range(start, 0, -1):
-        jm = (2.0 * s) / zsafe * jc - jp
-        jp, jc = jc, jm
-        if s - 1 <= s_max:
+        # A complex scalar takes numpy's fast path; its zero imaginary part
+        # leaves the product exact, as a real s would.
+        np.multiply(two_over_z, complex(s), out=ratio)
+        np.multiply(ratio, jc, out=jm)
+        jm -= jp
+        jp, jc, jm = jc, jm, jp
+        if s <= s_max + 1:
             out[s - 1] = jc
-        if (s - 1) % 2 == 0 and s - 1 > 0:
-            norm += 2.0 * jc
-        mag = np.abs(jc)
-        if mag.max(initial=0.0) > _RESCALE_LIMIT:
-            f = np.where(mag > _RESCALE_LIMIT, 1e-250, 1.0)
-            jc = jc * f
-            jp = jp * f
-            norm = norm * f
-            out = out * f
-    out /= jc + norm
+        if s % 2 and s > 1:
+            norm += jc
+        if s % _RESCALE_STRIDE == 0:
+            mag = np.abs(jc)
+            mag += np.abs(jp)
+            if mag.max(initial=0.0) > _RESCALE_LIMIT:
+                f = np.where(mag > _RESCALE_LIMIT, 1.0 / _RESCALE_LIMIT, 1.0)
+                jc *= f
+                jp *= f
+                norm *= f
+                out[s - 1 :] *= f
+    norm *= 2.0
+    norm += jc
+    out *= 1.0 / norm  # a 2-D product: numpy rounds it alike for every batch width
     if tiny.any():
         zt = z[tiny]
         q = zt * zt / 4.0
@@ -134,17 +189,21 @@ def _j_sequence(z, s_max):
 def _y01_from_sequence(z, seq):
     """Y_0 and Y_1 via the logarithmic Neumann series over a J batch.
 
-    seq must extend to order >= ceil(|z|) + 40 for full accuracy.
+    z is 1-D and seq has shape (orders, z.size); seq must extend to order
+    >= ceil(|z|) + 40 for full accuracy.  The sums S0 = sum_k c_k J_{2k}
+    and S1 = sum_k c_k (J_{2k-1} - J_{2k+1}), c_k = (-1)^(k+1) / k, are
+    two coefficient-vector products over the even and the odd orders.
     """
     z = np.asarray(z, dtype=complex)
     ell = np.log(z / 2.0) + EULER_GAMMA
-    s0 = np.zeros_like(z)
-    s1 = np.zeros_like(z)
     kmax = (seq.shape[0] - 2) // 2
-    for k in range(1, kmax + 1):
-        ck = (1.0 if k % 2 == 1 else -1.0) / k
-        s0 = s0 + ck * seq[2 * k]
-        s1 = s1 + ck * (seq[2 * k - 1] - seq[2 * k + 1])
+    k = np.arange(1.0, kmax + 1)
+    c = np.where(k % 2, 1.0, -1.0) / k
+    d = np.append(c, 0.0) - np.append(0.0, c)  # S1's coefficient of J_1, J_3, ...
+    # einsum over real views: BLAS (matmul) rounds a column differently with
+    # the batch's width, and a value must not depend on its batch.
+    s0 = np.einsum("k,kp->p", c, seq[2 : 2 * kmax + 1 : 2].view(float)).view(complex)
+    s1 = np.einsum("k,kp->p", d, seq[1 : 2 * kmax + 2 : 2].view(float)).view(complex)
     y0 = (2.0 / np.pi) * ell * seq[0] + (4.0 / np.pi) * s0
     y1 = (2.0 / np.pi) * ell * seq[1] - (2.0 / (np.pi * z)) * seq[0] - (2.0 / np.pi) * s1
     return y0, y1

@@ -144,8 +144,9 @@ def migration_response(s_matrix, array, k_real, points):
     weighted by their singular values.  On ideal plane-wave data it equals
     tau_1 times the closed-form diagonal-free series.
     """
-    w = em.plane_wave_many(np.asarray(points, dtype=float), array, k_real) / math.sqrt(array.count)
-    return np.abs(np.einsum("pi,ij,pj->p", w.conj(), s_matrix.entries, w.conj()))
+    w = em.plane_wave_many(np.asarray(points, dtype=float), array, k_real).conj()
+    w /= math.sqrt(array.count)
+    return np.abs(np.sum((w @ s_matrix.entries) * w, axis=1))
 
 
 def _diag_identity(points, array, k_real, r_star, trunc):

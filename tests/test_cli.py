@@ -53,6 +53,31 @@ def test_validate_passes_for_any_ring_size(capsys, count):
     assert float(out.split("ratio_spread=")[1].split()[0]) <= 1e-6
 
 
+@pytest.mark.parametrize("overrides", [
+    ["medium.frequency_hz=2e9"],
+    ["medium.frequency_hz=3e9"],
+    ["grid.x_min_m=-0.2", "grid.x_max_m=0.2", "grid.y_min_m=-0.2", "grid.y_max_m=0.2"],
+])
+def test_validate_truncation_covers_the_grid(capsys, overrides):
+    # The series order grows with 2k max|r - r*|; a fixed S = 64 left a
+    # tail of 3.7e-6 at 2 GHz and 1.7e-2 at 3 GHz.
+    argv = ["validate"]
+    for pair in overrides:
+        argv += ["--override", pair]
+    rc = main(argv)
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert float(out.split("max_identity_deviation=")[1].split()[0]) <= 1e-12
+
+
+def test_validate_past_max_order_is_one_line_error(capsys):
+    # 2k max|r - r*| = 638 at 20 GHz needs an order past 512.
+    rc = main(["validate", "--override", "medium.frequency_hz=2e10"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: TruncationError:") and _one_line_error(err)
+
+
 def test_validate_evaluates_the_series_once(monkeypatch):
     calls = []
     series = structure.structure_diag

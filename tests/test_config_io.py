@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -417,3 +418,120 @@ def test_sparams_round_trip_property(tmp_path, seed):
     back = fileio.read_sparams(path)
     assert np.array_equal(back.entries, s.entries)
     assert back.frequency_hz == s.frequency_hz
+
+
+_HEADER_RE = re.compile(r"#\s*smig-sparams\s+v1,\s*N=(\d+),\s*f_hz=([^\s,]+)")
+
+
+def _reference_read_sparams(path):
+    """The row-by-row v1 reader: each row is parsed and checked in file order."""
+    with open(path, errors="replace") as fh:
+        lines = fh.read().splitlines()
+    if not lines or not (match := _HEADER_RE.match(lines[0])):
+        raise DataError("%s: missing smig-sparams v1 header" % path)
+    n = int(match.group(1))
+    try:
+        f_hz = float(match.group(2))
+    except ValueError:
+        raise DataError("%s: malformed header %r" % (path, lines[0])) from None
+    if not n:
+        raise DataError("%s: header says N=0" % path)
+    if n * n >= len(lines):
+        raise DataError("%s: header says N=%d, but the file has %d lines" % (path, n, len(lines)))
+    values = {}
+    for raw in lines[1:]:
+        line = raw.strip()
+        if not line or line.startswith("#") or line.startswith("m,"):
+            continue
+        try:
+            m, j, re_part, im_part = line.split(",")
+            m, j, re_part, im_part = int(m), int(j), float(re_part), float(im_part)
+        except ValueError:
+            raise DataError("%s: malformed row %r" % (path, raw)) from None
+        if not (1 <= m <= n and 1 <= j <= n):
+            raise DataError("%s: index (%d,%d) outside 1..%d" % (path, m, j, n))
+        if (m, j) in values:
+            raise DataError("%s: duplicate entry (%d,%d)" % (path, m, j))
+        if not (math.isfinite(re_part) and math.isfinite(im_part)):
+            raise DataError("%s: non-finite value at (%d,%d)" % (path, m, j))
+        values[m, j] = complex(re_part, im_part)
+    if len(values) != n * n:
+        missing = [(m, j) for m in range(1, n + 1) for j in range(1, n + 1) if (m, j) not in values]
+        raise DataError("%s: missing entries %s" % (path, missing[:8]))
+    entries = np.array([values[m, j] for m in range(1, n + 1) for j in range(1, n + 1)],
+                       dtype=complex).reshape(n, n)
+    kind = forward.KIND_ZERO_DIAGONAL if np.all(np.diag(entries) == 0) else forward.KIND_FULL
+    return forward.ScatteringMatrix(entries, kind, "file", f_hz)
+
+
+_MALFORMED_ROWS = ["1,one,0.0,0.0", "1,1,0.0", "1,1,0.0,0.0,0.0", "x", "1.0,1,0.0,0.0",
+                   "1,1,0.0,1e5x", ",,,", "1,1,,0.0"]
+_NON_FINITE = ["nan", "inf", "-inf", "1e999", "NaN"]
+
+
+@st.composite
+def _sparams_with_faults(draw):
+    """A v1 file whose rows carry one or two injected faults, in either order."""
+    n = draw(st.integers(1, 4))
+    part = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    rows = ["%d,%d,%r,%r" % (m, j, draw(part), draw(part))
+            for m in range(1, n + 1) for j in range(1, n + 1)]
+    faults = draw(st.lists(st.sampled_from(
+        ["out_of_range", "duplicate", "non_finite", "malformed", "missing"]), min_size=1, max_size=2))
+    for fault in faults:
+        at = draw(st.integers(0, len(rows)))
+        if fault == "out_of_range":
+            bad = draw(st.sampled_from([0, -1, n + 1, 10 ** 30]))
+            good = draw(st.integers(1, n))
+            m, j = (bad, good) if draw(st.booleans()) else (good, bad)
+            rows.insert(at, "%d,%d,0.0,0.0" % (m, j))
+        elif fault == "duplicate" and rows:
+            rows.insert(at, rows[draw(st.integers(0, len(rows) - 1))])
+        elif fault == "non_finite" and rows:
+            i = draw(st.integers(0, len(rows) - 1))
+            fields = rows[i].split(",")
+            if len(fields) == 4:
+                fields[draw(st.sampled_from([2, 3]))] = draw(st.sampled_from(_NON_FINITE))
+                rows[i] = ",".join(fields)
+        elif fault == "malformed":
+            rows.insert(at, draw(st.sampled_from(_MALFORMED_ROWS)))
+        elif fault == "missing" and rows:
+            del rows[draw(st.integers(0, len(rows) - 1))]
+    # Blank lines, comments and padding are skipped or stripped by both readers.
+    extras = draw(st.lists(st.sampled_from(["", "  ", "# note", "m,n,re,im"]), max_size=2))
+    for extra in extras:
+        rows.insert(draw(st.integers(0, len(rows))), extra)
+    if rows and draw(st.booleans()):
+        rows[0] = " %s\t" % rows[0]
+    return "# smig-sparams v1, N=%d, f_hz=1.0\nm,n,re,im\n%s\n" % (n, "\n".join(rows))
+
+
+def _read_outcome(reader, path):
+    try:
+        s = reader(path)
+    except DataError as exc:
+        return str(exc)
+    return s.entries.tobytes(), s.kind, s.frequency_hz
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_sparams_with_faults())
+def test_sparams_reader_reports_the_row_by_row_fault(tmp_path, text):
+    # The bulk reader raises exactly the row-by-row reader's DataError: the
+    # first faulty row in file order, or the missing entries of a clean file.
+    path = tmp_path / "s.csv"
+    path.unlink(missing_ok=True)  # a new file: truncating one just written can stall
+    path.write_text(text)
+    assert _read_outcome(fileio.read_sparams, path) == _read_outcome(_reference_read_sparams, path)
+
+
+def test_sparams_writer_matches_row_by_row_format(tmp_path, born_fixture):
+    # Reference: one "%d,%d,%r,%r" row per entry, row-major.
+    path = tmp_path / "s.csv"
+    fileio.write_sparams(born_fixture, path)
+    rows = ["# smig-sparams v1, N=%d, f_hz=%r\nm,n,re,im\n"
+            % (born_fixture.size, float(born_fixture.frequency_hz))]
+    for m, row in enumerate(born_fixture.entries.tolist(), start=1):
+        rows += ["%d,%d,%r,%r\n" % (m, j, v.real, v.imag) for j, v in enumerate(row, start=1)]
+    assert path.read_text() == "".join(rows)

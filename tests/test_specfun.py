@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smig import em, specfun
-from smig.errors import DomainError, SingularityError
+from smig.errors import DomainError, SingularityError, TruncationError
 from smig.specfun import SeriesTruncation, bessel_j, bessel_y, hankel1_0, jacobi_anger_partial
 
 from oracle_values import H0_AT_10, J0_ZEROS, PSI_SPOT, Y0_AT_1
@@ -310,3 +310,59 @@ def test_jacobi_anger_terms_check_argument(x):
     # check as every other entry point instead of running ~x Miller steps.
     with pytest.raises(DomainError):
         specfun._jacobi_anger_terms(np.array([0.5, x]), np.zeros((2, 4)), 8)
+
+
+@pytest.mark.parametrize("s_max", [16, 128, 512])
+@pytest.mark.parametrize("phase", [0.0, 0.7], ids=["real", "complex"])
+@pytest.mark.parametrize("magnitude", [1.0001e-6, 2e-6, 1e-4])
+def test_j_sequence_rescale_stride_near_the_series_cutoff(magnitude, phase, s_max):
+    # Just above the ascending-series cutoff the recurrence grows by up to
+    # (2s/|z| + 1)^8 between two rescale checks; |z| = 25 in the same batch
+    # starts it at a higher order.  Orders below the double range are 0.
+    z = np.array([magnitude * cmath.exp(1j * phase), 25.0])
+    seq = specfun._j_sequence(z, s_max)
+    assert np.all(np.isfinite(seq))
+    with mpmath.workdps(40):
+        for i, s in ((0, 10), (0, s_max), (1, 10), (1, s_max)):
+            ref = complex(mpmath.besselj(s, mpmath.mpmathify(complex(z[i]))))
+            if abs(ref) > 1e-290:
+                assert abs(seq[s, i] - ref) <= 1e-10 * abs(ref)
+            else:
+                assert abs(seq[s, i]) <= 1e-290
+
+
+@pytest.mark.parametrize("x, order", [(0.0, 64), (31.9, 64), (63.8, 105), (319.2, 453)])
+def test_covering_truncation_order(x, order):
+    # The smallest order S >= 64 with (x/2)^S / S! <= abs_tol.
+    trunc = specfun.covering_truncation(x, 1e-10)
+    assert trunc == SeriesTruncation(order, 1e-10)
+    bound = lambda s: math.exp(s * math.log(x / 2.0) - math.lgamma(s + 1)) if x else 0.0
+    assert bound(order) <= 1e-10
+    assert order == 64 or bound(order - 1) > 1e-10
+
+
+@pytest.mark.parametrize("x", [640.0, math.inf, math.nan])
+def test_covering_truncation_past_max_order(x):
+    with pytest.raises(TruncationError, match="past 512"):
+        specfun.covering_truncation(x, 1e-10)
+
+
+def test_neumann_products_match_the_per_order_sum():
+    # Reference: the Neumann sums accumulated order by order; the products
+    # may add the terms in another order.
+    rng = np.random.default_rng(3)
+    x = rng.uniform(1e-3, 25.0, 200)
+    z = np.concatenate([x, x * np.exp(1j * rng.uniform(-0.2, 0.2, 200))])
+    seq = specfun._near_batch(z, 1)
+    s0 = np.zeros_like(z)
+    s1 = np.zeros_like(z)
+    for k in range(1, (seq.shape[0] - 2) // 2 + 1):
+        ck = (1.0 if k % 2 else -1.0) / k
+        s0 = s0 + ck * seq[2 * k]
+        s1 = s1 + ck * (seq[2 * k - 1] - seq[2 * k + 1])
+    ell = np.log(z / 2.0) + specfun.EULER_GAMMA
+    ref0 = (2.0 / np.pi) * ell * seq[0] + (4.0 / np.pi) * s0
+    ref1 = (2.0 / np.pi) * ell * seq[1] - (2.0 / (np.pi * z)) * seq[0] - (2.0 / np.pi) * s1
+    y0, y1 = specfun._y01_from_sequence(z, seq)
+    for got, ref in ((y0, ref0), (y1, ref1)):
+        assert np.all(np.abs(got - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))

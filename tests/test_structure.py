@@ -321,3 +321,20 @@ def test_aliased_ring_average_matches_per_antenna_sum(k_real, r_star, count, ord
     assert np.ndim(one) == 0
     assert abs(one - _per_antenna_ring_average(k, array, pts[0], r_star, trunc)) <= 1e-13
     assert structure._ring_average(k, array, r_star, r_star, trunc) == 1.0
+
+
+@pytest.mark.parametrize("kind", [forward.KIND_FULL, forward.KIND_ZERO_DIAGONAL])
+def test_migration_response_equals_triple_product(paper_array, k_real, r_star, kind):
+    # The BLAS product (w S) . w is the bilinear form w* S conj(w) summed
+    # term by term.
+    rng = np.random.default_rng(7)
+    n = paper_array.count
+    entries = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    if kind == forward.KIND_ZERO_DIAGONAL:
+        np.fill_diagonal(entries, 0.0)
+    data = forward.ScatteringMatrix(entries, kind, "t", 1e9)
+    pts = rng.uniform(-0.08, 0.08, (300, 2))
+    w = em.plane_wave_many(pts, paper_array, k_real).conj() / math.sqrt(n)
+    ref = np.abs(np.einsum("pi,ij,pj->p", w, data.entries, w))
+    got = structure.migration_response(data, paper_array, k_real, pts)
+    assert np.all(np.abs(got - ref) <= 1e-13 * ref)
