@@ -7,11 +7,17 @@ The matrix kind picks M, in select_rank alone: a zero-diagonal matrix
 images its first pair, a full matrix the pairs its rank policy keeps.
 
 image maps a batch of matrices in one sweep of the grid, in chunks of
-points on one thread per usable CPU (at most _MAX_WORKERS).  Each chunk
-builds its steering vectors once and projects them onto the stacked
-singular vectors of every matrix; it writes its own slice of each map, so
-the values do not depend on the thread count, and the chunks in flight
-together hold at most _CHUNK_DISTANCES grid-to-antenna distances.
+points on one thread per usable CPU (at most _MAX_WORKERS).  The sweep
+visits one point of each orbit of the symmetries the grid shares with
+the ring among the flips and quarter turns of the square (all 8 on the
+Table-1 defaults): the steering vector at g r is the one at r with its
+antennas permuted, so each chunk builds the steering vectors of its
+points once and projects them onto the singular vectors of every matrix,
+stacked once per g with their rows permuted, and writes each value to
+the |G| points of the orbit.  Each map point is written by one chunk, in
+a fixed order of g, so the values do not depend on the thread count; the
+chunks in flight together hold at most _CHUNK_DISTANCES grid-to-antenna
+distances.  Without a symmetry the sweep visits every point.
 """
 
 import math
@@ -48,9 +54,11 @@ RANK_MODES = ("relative_threshold", "fixed")
 # Largest grid an ImagingGrid may describe: 2^22 points, 26 times the 401^2
 # large case.  The steering sweep's chunks in flight hold _CHUNK_DISTANCES
 # distances together, so memory grows with the points only through the
-# coordinate, value and output arrays: at 2047^2 points (Table-1 scenario,
-# 2-vCPU VM, two sweep threads) `smig image` peaks at 168 MiB RSS with PGM
-# output (3.7 s) and 233 MiB with CSV output (6.6 s).
+# representatives' indices and the value and output arrays: at 2047^2 points
+# (Table-1 scenario, 8-fold sweep, 2-vCPU VM, two sweep threads, one BLAS
+# thread) `smig image` peaks at 180 MiB RSS with PGM output (0.27 s) and
+# 234 MiB with CSV output (1.9 s); the map alone peaks at 86 MiB, and the
+# output writer's temporaries set the rest.
 MAX_GRID_POINTS = 2 ** 22
 
 
@@ -223,27 +231,28 @@ def lattice(xs, ys):
     return np.stack([gx.ravel(), gy.ravel()], axis=1)
 
 
-def _hankel_table(grid, array, k):
-    """One H_0^(1)(k d) table for every grid-to-antenna distance of a map.
+def _hankel_table(orbits, array, k):
+    """One H_0^(1)(k d) table for every distance the sweep of orbits' representatives sees.
 
-    Distance to an antenna is convex over the grid rectangle, so its
-    largest value is at the farthest corner and its smallest at the
-    antenna clamped into the rectangle.  The size rule sees the whole
-    map's distances.  The table also holds the exact values of the
-    distances below its floor, from one hankel1_0 call for the whole map.
+    Distance to an antenna is convex over the rectangle of the fundamental
+    domain's index box, so its largest value is at the farthest corner and
+    its smallest at the antenna clamped into the rectangle.  The size rule
+    sees the representatives' distances.  The table also holds the exact
+    values of the distances below its floor, from one hankel1_0 call.
     """
-    xs, ys = grid.x_axis(), grid.y_axis()
+    xs, ys = orbits.xs[:orbits.hx], orbits.ys[:orbits.hy]
     low, high = np.array([xs[0], ys[0]]), np.array([xs[-1], ys[-1]])
     pos = array.positions
     far = np.maximum(np.abs(pos - low), np.abs(pos - high))
     near = np.clip(pos, low, high) - pos
     table = specfun.hankel1_0_table(k.k, np.hypot(*near.T).min(), np.hypot(*far.T).max(),
-                                    xs.size * ys.size * array.count)
-    return table.with_exact(_distances_below(xs, ys, pos, table.lo))
+                                    orbits.count * array.count)
+    return table.with_exact(_distances_below(xs, ys, pos, table.lo, orbits.swap))
 
 
-def _distances_below(xs, ys, positions, lo):
-    """Grid-to-antenna distances in (0, lo), at most _CHUNK_DISTANCES of them.
+def _distances_below(xs, ys, positions, lo, swap):
+    """Distances in (0, lo) from the points (xs[i], ys[j]) to the antennas, those
+    with i <= j only under swap, at most _CHUNK_DISTANCES of them.
 
     Each antenna's candidates are the grid box within lo of it.  A distance
     is np.hypot(x - ax, y - ay) on em.incident_field_many's operands, so it
@@ -256,10 +265,98 @@ def _distances_below(xs, ys, positions, lo):
         ix = np.flatnonzero(np.abs(xs - ax) < lo)
         iy = np.flatnonzero(np.abs(ys - ay) < lo)
         ix = ix[:room // max(iy.size, 1)]  # the box holds at most room distances
-        d = np.hypot(xs[ix, None] - ax, ys[iy] - ay).ravel()
+        d = np.hypot(xs[ix, None] - ax, ys[iy] - ay)
+        if swap:
+            d = d[ix[:, None] <= iy]
+        d = d.ravel()
         found.append(d[(d > 0) & (d < lo)])
         room -= found[-1].size
     return np.concatenate(found)
+
+
+# Largest mismatch, relative to the coordinate scale, at which a grid axis or
+# an antenna counts as its own mirror image.  Antenna coordinates R cos(angle),
+# R sin(angle) of angles rounded to ~1e-15 miss their mirror antennas by up to
+# 1.8e-15 R (N = 2 ... 1024), grid axes by 2.8e-16 of their extent; a miss of
+# 4e-15 times 0.1 m shifts a phase by 4e-14 at |k| = 100.
+_SYMMETRY_RTOL = 4e-15
+
+
+def _symmetries(xs, ys, array):
+    """The signed axis permutations that map the grid axes and the ring onto themselves.
+
+    Returns [(swap, flip_x, flip_y, perm)], the identity first: the map
+    g(x, y) = (+-u, +-v), (u, v) = (y, x) under swap and (x, y) otherwise,
+    takes every grid point to a grid point and antenna n to antenna perm[n]
+    (a_perm[n] = g a_n).  The swap is kept only with both flips, so the
+    group is {e}, {e, fx}, {e, fy}, {e, fx, fy, fx fy} or all 8.
+    """
+    pos = array.positions
+    tol = _SYMMETRY_RTOL * max(np.abs(xs).max(), np.abs(ys).max(), np.abs(pos).max())
+
+    def ring(moved):  # the antenna permutation of a move, None if the ring does not map
+        perm = array.nearest(moved)
+        return perm if np.abs(pos[perm] - moved).max() <= tol else None
+
+    fx = ring(pos * [-1.0, 1.0]) if np.abs(xs + xs[::-1]).max() <= tol else None
+    fy = ring(pos * [1.0, -1.0]) if np.abs(ys + ys[::-1]).max() <= tol else None
+    sw = None
+    if fx is not None and fy is not None and xs.size == ys.size and np.abs(xs - ys).max() <= tol:
+        sw = ring(pos[:, ::-1])
+    e = np.arange(array.count)
+    # g = (x flip)(y flip)(swap) carries antenna n to fx[fy[sw[n]]].
+    return [(swap, flip_x, flip_y, px[py[ps]])
+            for swap, ps in ((False, e), (True, sw)) if ps is not None
+            for flip_x, px in ((False, e), (True, fx)) if px is not None
+            for flip_y, py in ((False, e), (True, fy)) if py is not None]
+
+
+@dataclass(frozen=True, eq=False)
+class _Orbits:
+    """A grid's orbits under the symmetries it shares with the antenna ring.
+
+    elements are _symmetries'.  The fundamental domain, one point per
+    orbit, is the index box i < hx, j < hy, and i <= j under the swap:
+    hx = ceil(nx / 2) under the x flip, hy = ceil(ny / 2) under the y flip.
+    """
+
+    xs: np.ndarray
+    ys: np.ndarray
+    elements: list
+    hx: int
+    hy: int
+    swap: bool
+
+    @property
+    def count(self):
+        """Points in the fundamental domain."""
+        return self.hx * (self.hx + 1) // 2 if self.swap else self.hx * self.hy
+
+    def representatives(self):
+        """Grid indices (i, j) of the fundamental domain, row by row."""
+        i, j = np.divmod(np.arange(self.hx * self.hy), self.hy)
+        if self.swap:
+            keep = i <= j
+            i, j = i[keep], j[keep]
+        return i, j
+
+    def images(self, i, j):
+        """Flat grid index of g (i, j) for each element g, in the elements' order."""
+        nx, ny = self.xs.size, self.ys.size
+        out = []
+        for swap, flip_x, flip_y, _ in self.elements:
+            a, b = (j, i) if swap else (i, j)
+            out.append((nx - 1 - a if flip_x else a) * ny + (ny - 1 - b if flip_y else b))
+        return out
+
+
+def _orbits(grid, array):
+    """The grid's _Orbits under _symmetries."""
+    xs, ys = grid.x_axis(), grid.y_axis()
+    elements = _symmetries(xs, ys, array)
+    swap, flip_x, flip_y = (any(g[f] for g in elements) for f in range(3))
+    return _Orbits(xs, ys, elements, (xs.size + 1) // 2 if flip_x else xs.size,
+                   (ys.size + 1) // 2 if flip_y else ys.size, swap)
 
 
 def _worker_count():
@@ -271,14 +368,17 @@ def _worker_count():
     return min(cpus, _MAX_WORKERS)
 
 
-def _column_groups(decomps, ranks, count):
-    """The maps' singular vectors, stacked in groups of at most count columns.
+def _column_groups(decomps, ranks, count, perms):
+    """The maps' singular vectors, stacked in groups of at most count columns per row order.
 
     Returns (first, u, v_conj, bounds) per group: u and v_conj stack the
     first ranks[i] left and conjugated right vectors of maps first, first
     + 1, ..., and bounds[j] is the (start, stop) of map first + j's columns.
-    A group holds one matrix at least, so with count the antenna count a
-    chunk's projections hold no more values than its steering block.
+    That block repeats once per permutation p of perms, its rows in the
+    order p: block q holds columns q * width + bounds[j], width =
+    u.shape[1] / len(perms).  A group holds one matrix at least, so with
+    count the antenna count a chunk's projections hold no more values per
+    permutation than its steering block.
     """
     groups = []
     width = count  # columns in the last group
@@ -291,17 +391,27 @@ def _column_groups(decomps, ranks, count):
         v_conj.append(decomp.right_vectors[:, :m].conj())
         bounds.append((width, width + m))
         width += m
-    return [(first, np.concatenate(u, axis=1), np.concatenate(v_conj, axis=1), bounds)
-            for first, u, v_conj, bounds in groups]
+
+    def stacked(blocks):
+        columns = np.concatenate(blocks, axis=1)
+        return np.concatenate([columns[p] for p in perms], axis=1)
+
+    return [(first, stacked(u), stacked(v_conj), bounds) for first, u, v_conj, bounds in groups]
 
 
 def _projection_maps(decomps, ranks, grid, array, k, steering):
-    """values[i] is map i's projection over the flattened grid: one sweep for all maps."""
-    groups = _column_groups(decomps, ranks, array.count)
-    pts = lattice(grid.x_axis(), grid.y_axis())
-    table = _hankel_table(grid, array, k) if steering == STEERING_HANKEL else None
-    n = pts.shape[0]
-    vals = np.empty((len(decomps), n), dtype=float)
+    """values[i] is map i's projection over the flattened grid: one sweep for all maps.
+
+    The sweep visits one point of each orbit of the grid's symmetries
+    (_orbits) and writes its projections onto the permuted singular
+    vectors to every point of the orbit.
+    """
+    orbits = _orbits(grid, array)
+    groups = _column_groups(decomps, ranks, array.count, [g[3] for g in orbits.elements])
+    table = _hankel_table(orbits, array, k) if steering == STEERING_HANKEL else None
+    rep_i, rep_j = orbits.representatives()
+    n = rep_i.size
+    vals = np.empty((len(decomps), grid.shape[0] * grid.shape[1]), dtype=float)
     workers = _worker_count()
     block = max(1, _CHUNK_DISTANCES // (array.count * workers))
     # A one-point chunk takes BLAS's dot kernel, which rounds differently from
@@ -322,14 +432,23 @@ def _projection_maps(decomps, ranks, grid, array, k, steering):
                     chunk = next(chunks, None)
                 if chunk is None:
                     return
-                lo, hi = chunk
-                w, excluded = _steering_block(pts[lo:hi], array, k, steering, table)
+                i, j = rep_i[slice(*chunk)], rep_j[slice(*chunk)]
+                pts = np.stack([orbits.xs[i], orbits.ys[j]], axis=1)
+                w, excluded = _steering_block(pts, array, k, steering, table)
                 np.conjugate(w, out=w)
+                # A point on an axis or diagonal is the image of its own
+                # representative under several g; the last g in order wins.
+                images = orbits.images(i, j)
                 for first, u, v_conj, columns in groups:
                     prod = (w @ u) * (w @ v_conj)
-                    for i, (start, stop) in enumerate(columns, first):
-                        vals[i, lo:hi] = np.abs(np.sum(prod[:, start:stop], axis=1))
-                vals[:, lo + np.flatnonzero(excluded)] = 0.0
+                    width = u.shape[1] // len(images)
+                    for q, image in enumerate(images):
+                        for m, (start, stop) in enumerate(columns, first):
+                            pairs = prod[:, q * width + start:q * width + stop]
+                            vals[m, image] = np.abs(np.sum(pairs, axis=1))
+                if excluded.any():
+                    for image in images:
+                        vals[:, image[excluded]] = 0.0
         except BaseException as exc:  # re-raised in the calling thread, no thread traceback
             errors.append(exc)
 

@@ -176,13 +176,13 @@ def _j_sequence(z, s_max):
     norm += jc
     out *= 1.0 / norm  # a 2-D product: numpy rounds it alike for every batch width
     if tiny.any():
+        # J_s(z) = (z/2)^s / s! (1 - q / (s + 1)), q = z^2 / 4, with (z/2)^s / s!
+        # one cumulative product over the orders.
         zt = z[tiny]
         q = zt * zt / 4.0
-        base = np.ones_like(zt)
+        s = np.arange(1.0, s_max + 1)[:, None]
         out[0, tiny] = 1.0 - q
-        for s in range(1, s_max + 1):
-            base = base * (zt / 2.0) / s
-            out[s, tiny] = base * (1.0 - q / (s + 1))
+        out[1:, tiny] = np.cumprod((zt / 2.0) / s, axis=0) * (1.0 - q / (s + 1))
     return out[:, 0] if scalar else out
 
 

@@ -78,10 +78,9 @@ def psi1(k_real, theta_n, r, r_center, trunc=SeriesTruncation()):
 
 def _check_margin(r, array, k_real, r_star):
     margin = 10.0 * 0.25 / k_real
-    pts = array.positions
-    d_r = np.hypot(*(r[..., None, :] - pts).T).min(initial=np.inf)
-    d_s = np.hypot(*(r_star - pts).T).min()
-    if min(d_r, d_s) < margin:
+    points = np.concatenate([r.reshape(-1, 2), r_star.reshape(1, 2)])
+    gap = points - array.positions[array.nearest(points)]
+    if np.hypot(gap[:, 0], gap[:, 1]).min() < margin:
         warnings.warn(
             "point within %.4g m of an antenna; far-field structure may degrade" % margin,
             ValidityMarginWarning,

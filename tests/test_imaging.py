@@ -497,15 +497,16 @@ def _exact_steering(grid, array, k):
 
 
 @pytest.mark.parametrize("grid, lo_kd", [
-    # Surrounds the array, 4 antennas on it: the table starts at the floor.
-    (ImagingGrid(-0.1, 0.1, -0.1, 0.1, 0.005), specfun._TABLE_FLOOR),
+    # Surrounds the array, 4 antennas on it: the table starts at the floor.  Its
+    # 8-fold sweep sees 1,326 points, enough for the table's size rule.
+    (ImagingGrid(-0.1, 0.1, -0.1, 0.1, 0.002), specfun._TABLE_FLOOR),
     # Off to one side: the nearest antenna, clamped into the rectangle, sets lo.
     (ImagingGrid(0.1, 0.2, -0.2, -0.1, 0.0025), 4.85),
 ], ids=["on_grid_antennas", "offset"])
 def test_map_table_matches_test_vector_projection(contaminated_fixture, paper_array, paper_k,
                                                   grid, lo_kd):
     # One table per map serves every chunk; each value matches the exact path.
-    table = imaging._hankel_table(grid, paper_array, paper_k)
+    table = imaging._hankel_table(imaging._orbits(grid, paper_array), paper_array, paper_k)
     assert table.coef.shape[1] > 0 and abs(paper_k.k) * table.lo >= lo_kd
     w = _exact_steering(grid, paper_array, paper_k).conj()
     zero_diag = imaging.zero_diagonal(contaminated_fixture)
@@ -529,9 +530,9 @@ def test_one_table_per_map(monkeypatch, contaminated_fixture, paper_array, paper
         return build(*args)
 
     monkeypatch.setattr(specfun, "hankel1_0_table", counted)
-    grid = ImagingGrid(-0.1, 0.1, -0.1, 0.1, 0.002)
-    nx, ny = grid.shape
-    assert nx * ny * paper_array.count > 3 * imaging._CHUNK_DISTANCES  # several chunks
+    grid = ImagingGrid(-0.1, 0.1, -0.1, 0.1, 0.001)
+    sweep = imaging._orbits(grid, paper_array).count * paper_array.count
+    assert sweep > 3 * imaging._CHUNK_DISTANCES  # several chunks
     imaging.image_diag(imaging.zero_diagonal(contaminated_fixture), grid, paper_array, paper_k)
     assert len(builds) == 1
     imaging.image_full(contaminated_fixture, grid, paper_array, paper_k)
@@ -541,9 +542,10 @@ def test_one_table_per_map(monkeypatch, contaminated_fixture, paper_array, paper
 @pytest.mark.parametrize("workers", [1, 2])
 def test_table1_map_makes_two_hankel_calls(monkeypatch, contaminated_fixture, paper_array,
                                            paper_k, default_grid, workers):
-    # One call for the table's nodes and one for the map's below-floor
-    # distances, whatever the chunks and threads.
-    table = imaging._hankel_table(default_grid, paper_array, paper_k)
+    # One call for the table's nodes and one for the below-floor distances of
+    # the 5,151 representative points, whatever the chunks and threads.
+    table = imaging._hankel_table(imaging._orbits(default_grid, paper_array), paper_array,
+                                  paper_k)
     calls = []
     exact = specfun.hankel1_0
 
@@ -555,7 +557,7 @@ def test_table1_map_makes_two_hankel_calls(monkeypatch, contaminated_fixture, pa
     monkeypatch.setattr(imaging, "_worker_count", lambda: workers)
     imaging.image_diag(imaging.zero_diagonal(contaminated_fixture), default_grid, paper_array,
                        paper_k)
-    assert calls == [table.coef.size, len(table.exact)] and len(table.exact) > 600
+    assert calls == [table.coef.size, len(table.exact)] and len(table.exact) == 121
 
 
 def test_below_floor_values_keep_their_budget(monkeypatch, contaminated_fixture, paper_array,
@@ -565,10 +567,10 @@ def test_below_floor_values_keep_their_budget(monkeypatch, contaminated_fixture,
     grid = ImagingGrid(-0.1, 0.1, -0.1, 0.1, 0.002)
     xs, ys, pos = grid.x_axis(), grid.y_axis(), paper_array.positions
     lo = specfun._TABLE_FLOOR / abs(paper_k.k)
-    found = imaging._distances_below(xs, ys, pos, lo)
+    found = imaging._distances_below(xs, ys, pos, lo, False)
     assert found.size > 100 and np.all((found > 0) & (found < lo))
     monkeypatch.setattr(imaging, "_CHUNK_DISTANCES", 100)
-    assert imaging._distances_below(xs, ys, pos, lo).size <= 100
+    assert imaging._distances_below(xs, ys, pos, lo, False).size <= 100
     monkeypatch.undo()
     data = imaging.zero_diagonal(contaminated_fixture)
     ref = imaging.image_diag(data, grid, paper_array, paper_k).values
@@ -618,7 +620,15 @@ def test_sweep_chunks_keep_the_distance_budget(monkeypatch, small_anomaly, paper
 
     monkeypatch.setattr(em, "incident_field_many", counted)
     imaging.image_diag(data, default_grid, array, paper_k)
-    nx, ny = default_grid.shape
+    # The grid and the ring share all 8 symmetries of the square: the sweep
+    # sees one point per orbit, 101 * 102 / 2 of the 201^2.
+    assert sum(chunks) == 5151 * array.count
+    assert max(chunks) <= imaging._CHUNK_DISTANCES
+    # Without a symmetry every grid point is swept.
+    chunks.clear()
+    asymmetric = ImagingGrid(-0.1, 0.098, -0.1, 0.098, 0.001)
+    imaging.image_diag(data, asymmetric, array, paper_k)
+    nx, ny = asymmetric.shape
     assert sum(chunks) == nx * ny * array.count
     assert max(chunks) <= imaging._CHUNK_DISTANCES
     # The chunks of all sweep threads share the budget.
@@ -649,11 +659,13 @@ def _in_flight_counter(many, peak):
 def test_sweep_threads_under_contention(monkeypatch, small_anomaly, paper_medium, paper_k):
     # More threads than cores and frequent switches: the chunks in flight
     # stay within the budget and the map is the single-thread map, also at
-    # the grid's last point, which 4-thread chunks would leave alone.
+    # the sweep's last point, which 4-thread chunks would leave alone: the
+    # 8-fold sweep of the 145^2 grid visits 2,701 = 27 * 100 + 1 points.
     array = em.antenna_array(64, 0.09)
     data = imaging.zero_diagonal(forward.born_smatrix(array, [small_anomaly], paper_medium))
-    grid = ImagingGrid(-0.1, 0.1, -0.1, 0.1, 0.002)
-    assert grid.shape[0] * grid.shape[1] % _block(array, 4) == 1
+    grid = ImagingGrid(-0.144, 0.144, -0.144, 0.144, 0.002)
+    orbits = imaging._orbits(grid, array)
+    assert len(orbits.elements) == 8 and orbits.count % _block(array, 4) == 1
     monkeypatch.setattr(imaging, "_worker_count", lambda: 1)
     ref = imaging.image_diag(data, grid, array, paper_k).values
     monkeypatch.setattr(imaging, "_worker_count", lambda: 4)
@@ -673,10 +685,14 @@ def test_sweep_threads_under_contention(monkeypatch, small_anomaly, paper_medium
     ("zero_diagonal", 0.001),
     ("full_rank_3", 0.001),
     ("zero_diagonal", 0.0005),  # 401 points a row: two-thread chunks split rows
+    ("zero_diagonal", "0.001_half_0.201"),  # 8-fold sweep of 20,503 = 51 * 402 + 1 points
 ])
 def test_map_does_not_depend_on_the_thread_count(monkeypatch, contaminated_fixture, paper_array,
                                                  paper_k, kind, step):
-    grid = ImagingGrid(-0.1, 0.1, -0.1, 0.1, step)
+    half = 0.1
+    if step == "0.001_half_0.201":
+        step, half = 0.001, 0.201
+    grid = ImagingGrid(-half, half, -half, half, step)
     if kind == "zero_diagonal":
         def image():
             return imaging.image_diag(imaging.zero_diagonal(contaminated_fixture), grid,
@@ -686,12 +702,22 @@ def test_map_does_not_depend_on_the_thread_count(monkeypatch, contaminated_fixtu
             return imaging.image_full(contaminated_fixture, grid, paper_array, paper_k,
                                       RankPolicy(mode="fixed", fixed_m=3))
     maps = []
-    for workers in (1, 2):
+    for workers in (1, 2, 4):
         monkeypatch.setattr(imaging, "_worker_count", lambda: workers)
         maps.append(image().values)
-    splits_rows = _block(paper_array, 2) % grid.shape[1] != 0
-    assert splits_rows == (step == 0.0005)
-    assert np.array_equal(maps[0], maps[1])
+    if half == 0.1:
+        splits_rows = _block(paper_array, 2) % grid.shape[1] != 0
+        assert splits_rows == (step == 0.0005)
+    else:
+        # The chunks of 2 and 4 threads end inside rows of the domain (i <= j),
+        # and 4 threads would leave the last point a chunk of its own.
+        orbits = imaging._orbits(grid, paper_array)
+        i, _ = orbits.representatives()
+        row_starts = set(np.flatnonzero(np.diff(i)) + 1)
+        assert len(orbits.elements) == 8 and i.size % _block(paper_array, 4) == 1
+        for workers in (2, 4):
+            assert not set(range(0, i.size, _block(paper_array, workers))) <= row_starts
+    assert np.array_equal(maps[0], maps[1]) and np.array_equal(maps[0], maps[2])
 
 
 def _block(array, workers):
@@ -723,7 +749,7 @@ def test_chunk_error_reaches_the_caller(monkeypatch, capfd, contaminated_fixture
 
     monkeypatch.setattr(imaging, "_worker_count", lambda: 2)
     monkeypatch.setattr(em, "incident_field_many", failing)
-    assert default_grid.shape[0] * default_grid.shape[1] > 3 * _block(paper_array, 2)
+    assert imaging._orbits(default_grid, paper_array).count > 3 * _block(paper_array, 2)
     with pytest.raises(DomainError) as excinfo:
         imaging.image_diag(imaging.zero_diagonal(contaminated_fixture), default_grid,
                            paper_array, paper_k)
@@ -731,11 +757,13 @@ def test_chunk_error_reaches_the_caller(monkeypatch, capfd, contaminated_fixture
     assert capfd.readouterr().err == ""
 
 
-@pytest.mark.parametrize("step, exact", [(0.05, True), (0.005, False)])
+@pytest.mark.parametrize("step, exact", [(0.05, True), (0.002, False)])
 def test_map_size_rule_keeps_small_grids_exact(monkeypatch, contaminated_fixture, paper_array,
                                                paper_k, step, exact):
-    # The size rule sees the whole map's distances: a grid under it is bit for
-    # bit the map with the table switched off; a grid over it takes the table.
+    # The size rule sees the sweep's distances, one point per orbit: a grid
+    # under it is bit for bit the map with the table switched off; a grid over
+    # it takes the table.  (The 8-fold sweep of the 0.005 grid, 231 points,
+    # is under it.)
     grid = ImagingGrid(-0.1, 0.1, -0.1, 0.1, step)
     data = imaging.zero_diagonal(contaminated_fixture)
     got = imaging.image_diag(data, grid, paper_array, paper_k).values
@@ -745,3 +773,123 @@ def test_map_size_rule_keeps_small_grids_exact(monkeypatch, contaminated_fixture
     off = imaging.image_diag(data, grid, paper_array, paper_k).values
     assert np.array_equal(got, off) == exact
     assert np.all(np.abs(got - off) <= 1e-12 * off.max())
+
+
+def _identity_symmetry(monkeypatch):
+    """Forces the sweep over every grid point, the reference for the symmetric sweep."""
+    monkeypatch.setattr(imaging, "_symmetries",
+                        lambda xs, ys, array: [(False, False, False, np.arange(array.count))])
+
+
+def _zero_diagonal_data(count, anomaly, medium):
+    return imaging.zero_diagonal(forward.born_smatrix(em.antenna_array(count, 0.09), [anomaly],
+                                                      medium))
+
+
+@pytest.mark.parametrize("case, elements", [
+    ("defaults", 8), ("count_15", 2), ("count_18", 4), ("x_min", 2), ("full_rank_16", 8),
+    ("plane_wave", 8), ("lossless", 8),
+    ("on_grid_4", 8), ("on_grid_8", 8), ("on_grid_16", 8), ("on_grid_32", 8),
+])
+def test_symmetric_sweep_matches_the_reference_sweep(monkeypatch, case, elements,
+                                                     contaminated_fixture, small_anomaly,
+                                                     paper_medium, paper_array, paper_k,
+                                                     default_grid):
+    grid, array, k = default_grid, paper_array, paper_k
+    data, kwargs = imaging.zero_diagonal(contaminated_fixture), {}
+    if case.startswith("count_"):
+        array = em.antenna_array(int(case[6:]), 0.09)
+        data = _zero_diagonal_data(array.count, small_anomaly, paper_medium)
+    elif case == "x_min":
+        grid = ImagingGrid(-0.08, 0.1, -0.1, 0.1, 0.001)
+    elif case == "full_rank_16":
+        data = contaminated_fixture
+    elif case == "plane_wave":
+        kwargs = {"steering": imaging.STEERING_PLANE_WAVE}
+    elif case == "lossless":
+        k = em.lossless_wavenumber(paper_medium)
+    elif case.startswith("on_grid_"):
+        array = em.antenna_array(int(case[8:]), 0.09)
+        data = forward.contaminate_diagonal(
+            forward.born_smatrix(array, [small_anomaly], paper_medium), 5.0, mode="random", seed=7)
+    assert len(imaging._symmetries(grid.x_axis(), grid.y_axis(), array)) == elements
+    got = imaging.image([data], grid, array, k, **kwargs)[0]
+    _identity_symmetry(monkeypatch)
+    ref = imaging.image([data], grid, array, k, **kwargs)[0]
+    assert got.rank_used == ref.rank_used
+    assert case != "full_rank_16" or got.rank_used == 16
+    assert np.all(np.abs(got.values - ref.values) <= 1e-13 * ref.values.max())
+    assert np.array_equal(got.values == 0.0, ref.values == 0.0)
+    assert not case.startswith("on_grid_") or np.count_nonzero(ref.values == 0.0) == 4
+
+
+def test_sweep_without_symmetry_is_the_reference_sweep(monkeypatch, contaminated_fixture,
+                                                       paper_array, paper_k, default_grid):
+    # A grid whose axes end at 0.098, and a ring turned by 1e-12 rad, share no
+    # symmetry with the other: the sweep is the reference sweep, bit for bit.
+    turned = em.antenna_array(16, 0.09)
+    angles = turned.angles + 1e-12
+    object.__setattr__(turned, "positions", 0.09 * np.stack([np.cos(angles), np.sin(angles)], 1))
+    data = imaging.zero_diagonal(contaminated_fixture)
+    cases = [(ImagingGrid(-0.1, 0.1, -0.1, 0.1, 0.003), paper_array), (default_grid, turned)]
+    for grid, array in cases:
+        assert len(imaging._symmetries(grid.x_axis(), grid.y_axis(), array)) == 1
+    got = [imaging.image_diag(data, grid, array, paper_k).values for grid, array in cases]
+    _identity_symmetry(monkeypatch)
+    for values, (grid, array) in zip(got, cases):
+        assert np.array_equal(values, imaging.image_diag(data, grid, array, paper_k).values)
+
+
+@pytest.mark.parametrize("count, flips", [(16, 3), (32, 3), (18, 2), (6, 2), (15, 1), (3, 1)])
+def test_symmetries_permute_the_ring(count, flips):
+    # Odd N: the x flip; N = 2 mod 4: both flips; N = 0 mod 4: all 8.  Each
+    # element carries antenna n to antenna perm[n].
+    array = em.antenna_array(count, 0.09)
+    axis = ImagingGrid(-0.1, 0.1, -0.1, 0.1, 0.001).x_axis()
+    elements = imaging._symmetries(axis, axis, array)
+    assert len(elements) == {3: 8, 2: 4, 1: 2}[flips]
+    assert elements[0][:3] == (False, False, False)
+    for swap, flip_x, flip_y, perm in elements:
+        moved = array.positions[:, ::-1] if swap else array.positions
+        moved = moved * [-1.0 if flip_x else 1.0, -1.0 if flip_y else 1.0]
+        assert np.abs(array.positions[perm] - moved).max() <= 1e-15
+        assert np.array_equal(np.sort(perm), np.arange(count))
+
+
+@pytest.mark.parametrize("bounds, count, elements", [
+    ((-0.07, 0.07, -0.07, 0.07), 16, 8),  # 15 x 15
+    ((-0.075, 0.075, -0.075, 0.075), 16, 8),  # 16 x 16
+    ((-0.07, 0.07, -0.08, 0.08), 18, 4),
+    ((-0.075, 0.075, -0.08, 0.08), 15, 2),
+    ((-0.06, 0.08, -0.08, 0.08), 16, 2),
+])
+def test_orbit_representatives_cover_the_grid_once(bounds, count, elements):
+    # Every grid point is g (i, j) of exactly one representative (i, j), and
+    # g (i, j) is the grid point at g (x_i, y_j).
+    grid = ImagingGrid(*bounds, 0.01)
+    orbits = imaging._orbits(grid, em.antenna_array(count, 0.09))
+    assert len(orbits.elements) == elements
+    i, j = orbits.representatives()
+    assert i.size == orbits.count
+    ny = grid.shape[1]
+    images = orbits.images(i, j)
+    orbit_sets = [set(orbit) for orbit in np.array(images).T.tolist()]
+    assert sorted(p for orbit in orbit_sets for p in orbit) == list(range(grid.shape[0] * ny))
+    pts = imaging.lattice(grid.x_axis(), grid.y_axis())
+    for (swap, flip_x, flip_y, _), image in zip(orbits.elements, images):
+        moved = pts[i * ny + j][:, ::-1] if swap else pts[i * ny + j]
+        moved = moved * [-1.0 if flip_x else 1.0, -1.0 if flip_y else 1.0]
+        assert np.abs(pts[image] - moved).max() <= 1e-15
+
+
+def test_below_floor_search_sees_the_representatives(paper_array, paper_k, default_grid):
+    # With the swap, the search keeps the distances of the points i <= j of
+    # the domain box: those of the representatives, none twice as a mirror.
+    orbits = imaging._orbits(default_grid, paper_array)
+    lo = specfun._TABLE_FLOOR / abs(paper_k.k)
+    xs, ys = orbits.xs[:orbits.hx], orbits.ys[:orbits.hy]
+    found = imaging._distances_below(xs, ys, paper_array.positions, lo, True)
+    i, j = orbits.representatives()
+    d = np.hypot(orbits.xs[i, None] - paper_array.positions[:, 0],
+                 orbits.ys[j, None] - paper_array.positions[:, 1]).ravel()
+    assert sorted(found.tolist()) == sorted(d[(d > 0) & (d < lo)].tolist())

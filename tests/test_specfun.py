@@ -331,6 +331,34 @@ def test_j_sequence_rescale_stride_near_the_series_cutoff(magnitude, phase, s_ma
                 assert abs(seq[s, i]) <= 1e-290
 
 
+def _ascending_series_loop(z, s_max):
+    """J_0 .. J_s_max of |z| < 1e-6 by the two-term ascending series, order by order."""
+    q = z * z / 4.0
+    base = np.ones_like(z)
+    out = [1.0 - q]
+    for s in range(1, s_max + 1):
+        base = base * (z / 2.0) / s
+        out.append(base * (1.0 - q / (s + 1)))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("s_max", [1, 16, 64, 512])
+def test_j_sequence_tiny_arguments_match_the_order_loop(s_max):
+    # The ascending series of the tiny points of a mixed batch is one
+    # cumulative product over the orders: within 1e-15 of the order-by-order
+    # loop wherever the loop's value is a normal float, and the points of the
+    # Miller batch are unchanged by it.
+    tiny = np.array([0.0, 1e-7, -1e-7, 9.9e-7], dtype=complex)
+    z = np.concatenate([tiny, [0.5, 3.0, 24.0]])
+    seq = specfun._j_sequence(z, s_max)
+    ref = _ascending_series_loop(tiny, s_max)
+    normal = np.abs(ref) >= np.finfo(float).tiny
+    assert np.all(np.abs(seq[:, :4] - ref)[normal] <= 1e-15 * np.abs(ref)[normal])
+    assert np.all(np.abs(seq[:, :4][~normal]) < np.finfo(float).tiny)
+    assert np.all(seq[1:, 0] == 0.0) and seq[0, 0] == 1.0
+    assert np.array_equal(seq[:, 4:], specfun._j_sequence(z[4:], s_max))
+
+
 @pytest.mark.parametrize("x, order", [(0.0, 64), (31.9, 64), (63.8, 105), (319.2, 453)])
 def test_covering_truncation_order(x, order):
     # The smallest order S >= 64 with (x/2)^S / S! <= abs_tol.

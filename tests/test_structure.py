@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -280,6 +281,33 @@ def test_validity_margin_warning(paper_array, k_real, r_star):
     near_antenna = paper_array.positions[0] + np.array([0.003, 0.0])
     with pytest.warns(ValidityMarginWarning):
         structure.structure_diag(near_antenna, paper_array, k_real, r_star)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    count=st.integers(min_value=2, max_value=64),
+    radius=st.floats(min_value=0.02, max_value=0.2),
+    k_real=st.floats(min_value=10.0, max_value=300.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    points=st.integers(min_value=0, max_value=6),
+)
+def test_margin_warning_matches_the_brute_force_distance(count, radius, k_real, seed, points):
+    # The nearest antenna by polar angle gives the brute-force minimum over
+    # every point and antenna: the warning is raised exactly when it is
+    # below the margin 2.5 / k.
+    array = em.antenna_array(count, radius)
+    rng = np.random.default_rng(seed)
+    r = rng.uniform(-1.5 * radius, 1.5 * radius, (points, 2))
+    if points and rng.random() < 0.5:  # a point near an antenna
+        r[0] = array.positions[rng.integers(count)] + rng.normal(0.0, 2.5 / k_real, 2)
+    r_star = rng.uniform(-radius, radius, 2)
+    both = np.concatenate([r, r_star[None]])
+    gaps = both[:, None, :] - array.positions[None, :, :]
+    expected = np.hypot(gaps[..., 0], gaps[..., 1]).min() < 2.5 / k_real
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        structure._check_margin(r, array, k_real, r_star)
+    assert [w.category for w in caught] == [ValidityMarginWarning] * int(expected)
 
 
 @pytest.mark.filterwarnings("ignore::smig.structure.ValidityMarginWarning")
