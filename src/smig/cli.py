@@ -150,30 +150,39 @@ def _add_common(p):
     p.add_argument("--seed", type=int, help="master seed for all random streams")
 
 
-def build_parser():
+_COMMANDS = (
+    ("simulate", _cmd_simulate, False),
+    ("image", _cmd_image, True),
+    ("validate", _cmd_validate, False),
+    ("spectrum", _cmd_spectrum, True),
+)
+
+
+def build_parser(command=None):
+    """The smig parser; only the subcommand `command` names gets its options,
+    or every subcommand when it names none."""
     parser = argparse.ArgumentParser(
         prog="smig",
         description="Scattering-matrix synthesis and subspace imaging pipeline",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn, measured in (
-        ("simulate", _cmd_simulate, False),
-        ("image", _cmd_image, True),
-        ("validate", _cmd_validate, False),
-        ("spectrum", _cmd_spectrum, True),
-    ):
+    named = command in [name for name, _, _ in _COMMANDS]
+    for name, fn, measured in _COMMANDS:
         p = sub.add_parser(name)
+        p.set_defaults(fn=fn)
+        if named and name != command:
+            continue
         _add_common(p)
         if measured:
             p.add_argument("--stot", help="measured total-field S-parameter file")
             p.add_argument("--sinc", help="measured incident-field S-parameter file")
-        p.set_defaults(fn=fn)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.fn(args)
     except SmigError as exc:

@@ -104,7 +104,9 @@ class AntennaArray:
 # grow as N^2 and N^3 (the imaging sweep's chunks in flight hold a fixed
 # distance count).  At 1024 antennas (Table-1 scenario, 2-vCPU VM, one BLAS
 # thread) `smig spectrum` takes 0.61 s and peaks at 174 MiB RSS; `smig image
-# --format pgm` takes 0.72 s and 175 MiB with two sweep threads (8-fold sweep).
+# --format pgm` takes 0.72 s and 175 MiB with two sweep threads (8-fold sweep);
+# `smig simulate` takes 2.9 s and peaks at 303 MiB, nearly all of both in
+# writing the three S-parameter files.
 MAX_ANTENNAS = 1024
 
 

@@ -7,14 +7,15 @@ S-parameters travel as CSV with a one-line header:
 
 Values are written with the shortest round-trip decimal representation,
 so write -> read is bit-exact.  The writer formats the whole body with one
-%-format; the reader splits every data row, converts the fields column by
-column, and runs the range, duplicate and finiteness checks on whole
-arrays.  A faulty file is reported by its first faulty row in file order
-(within a row: malformed, index out of range, duplicate, non-finite), and
-a file without such rows by its missing entries.
+%-format; the reader converts a clean file column by column and re-reads
+a faulty one row by row.  A faulty file is reported by its first faulty
+row in file order (within a row: malformed, index out of range,
+duplicate, non-finite), and a file without such rows by its missing
+entries.
 
-Maps go out as x,y,value CSV or as binary P5 PGM (row 0 = y_max), each
-with a sidecar of the map's frequency, kind, rank and maximum; spectra as
+Maps go out as x,y,value CSV, written one grid row at a time with one
+%-format per row, or as binary P5 PGM (row 0 = y_max), each with a
+sidecar of the map's frequency, kind, rank and maximum; spectra as
 m,tau,ratio CSV.  Writers accept an optional meta mapping whose entries
 (seed, config hash, ...) land in a sidecar next to the file.  Every
 writer replaces an existing file with a new one (a symlink at the path is
@@ -22,6 +23,8 @@ replaced, not written through).
 """
 
 import contextlib
+import itertools
+import math
 import os
 import re
 
@@ -73,36 +76,54 @@ def write_sparams(s_matrix, path, meta=None):
         write_sidecar(path, meta)
 
 
-def _parse_column(texts, kind):
-    """kind(text) for each text up to the first that kind rejects, and that count."""
-    try:
-        return list(map(kind, texts)), len(texts)
-    except ValueError:
-        values = []
-        for text in texts:
-            try:
-                values.append(kind(text))
-            except ValueError:
-                break
-        return values, len(values)
+def _clean_entries(rows, n):
+    """The N x N entries of data rows converted column by column; ValueError
+    unless the rows are exactly the N x N finite entries, once each."""
+    fields = [raw.strip().split(",") for raw in rows]
+    if len(fields) != n * n or list(map(len, fields)).count(4) != n * n:
+        raise ValueError
+    ms, js, re_parts, im_parts = (list(map(kind, column)) for kind, column
+                                  in zip((int, int, float, float), zip(*fields)))
+    if not (1 <= min(ms) and max(ms) <= n and 1 <= min(js) and max(js) <= n):
+        raise ValueError
+    keys = np.array(ms, dtype=np.intp) * n + np.array(js, dtype=np.intp) - (n + 1)
+    seen = np.zeros(n * n, dtype=bool)
+    seen[keys] = True  # N x N rows in range cover every entry only without duplicates
+    entries = np.empty(n * n, dtype=complex)
+    entries.real[keys] = re_parts
+    entries.imag[keys] = im_parts
+    if not (seen.all() and np.isfinite(entries).all()):
+        raise ValueError
+    return entries.reshape(n, n)
 
 
-def _first_out_of_range(indices, n):
-    """Position of the first index outside 1..n, len(indices) if none."""
-    if not indices or (min(indices) >= 1 and max(indices) <= n):
-        return len(indices)
-    return next(i for i, v in enumerate(indices) if not 1 <= v <= n)
+def _first_fault(path, rows, n):
+    """The DataError of the first faulty row in file order, else of the missing entries."""
+    seen = set()
+    for raw in rows:
+        try:
+            m, j, re_part, im_part = raw.strip().split(",")
+            m, j, re_part, im_part = int(m), int(j), float(re_part), float(im_part)
+        except ValueError:
+            return DataError("%s: malformed row %r" % (path, raw))
+        if not (1 <= m <= n and 1 <= j <= n):
+            return DataError("%s: index (%d,%d) outside 1..%d" % (path, m, j, n))
+        if (m, j) in seen:
+            return DataError("%s: duplicate entry (%d,%d)" % (path, m, j))
+        if not (math.isfinite(re_part) and math.isfinite(im_part)):
+            return DataError("%s: non-finite value at (%d,%d)" % (path, m, j))
+        seen.add((m, j))
+    missing = ((m, j) for m in range(1, n + 1) for j in range(1, n + 1) if (m, j) not in seen)
+    return DataError("%s: missing entries %s" % (path, list(itertools.islice(missing, 8))))
 
 
 def read_sparams(path):
     """Read a v1 CSV file; demands complete N x N coverage, no duplicates.
 
-    The data rows are split and converted column by column, and the
-    range, duplicate and finiteness checks run on whole arrays.  A file
-    with faults reports the first faulty row in file order; within a row
-    a malformed field comes first, then an index out of range, a
-    duplicate (m, n), a non-finite value.  Missing entries are reported
-    only for a file without such faults.
+    A clean file is converted column by column.  A file with any fault is
+    re-read row by row, which reports its first faulty row in file order
+    (within a row: malformed, index out of range, duplicate (m, n),
+    non-finite), or the missing entries of a file without such rows.
     """
     with open(path, errors="replace") as fh:  # stray bytes fail as malformed rows
         lines = fh.read().splitlines()
@@ -119,48 +140,10 @@ def read_sparams(path):
         raise DataError("%s: header says N=%d, but the file has %d lines" % (path, n, len(lines)))
     rows = [raw for raw in lines[1:]
             if (line := raw.strip()) and not line.startswith(("#", "m,"))]
-    fields = [raw.strip().split(",") for raw in rows]
-    # Rows before the first malformed one: four fields that int/float accept.
-    good = len(fields)
-    if list(map(len, fields)).count(4) != good:
-        good = next(i for i, row in enumerate(fields) if len(row) != 4)
-    columns = list(zip(*fields[:good])) or [()] * 4
-    parsed = []
-    for column, kind in zip(columns, (int, int, float, float)):
-        values, good = _parse_column(column[:good], kind)
-        parsed.append(values)
-    ms, js, re_parts, im_parts = (values[:good] for values in parsed)
-    # Rows before the first index out of range; the remaining checks look at these.
-    valid = min(_first_out_of_range(ms, n), _first_out_of_range(js, n))
-    keys = np.array(ms[:valid], dtype=np.intp) * n + np.array(js[:valid], dtype=np.intp) - (n + 1)
-    re_parts = np.array(re_parts[:valid], dtype=float)
-    im_parts = np.array(im_parts[:valid], dtype=float)
-    counts = np.bincount(keys, minlength=n * n)
-    # Each check's first faulty row as (row, rank within a row, message);
-    # the duplicate and finiteness checks only see rows before the others'.
-    faults = []
-    if good < len(rows):
-        faults.append((good, 0, "malformed row %r" % (rows[good],)))
-    if valid < good:
-        faults.append((valid, 1, "index (%d,%d) outside 1..%d" % (ms[valid], js[valid], n)))
-    if counts.max(initial=0) > 1:
-        first = np.full(n * n, valid)
-        np.minimum.at(first, keys, np.arange(valid))
-        i = int(np.flatnonzero(first[keys] != np.arange(valid))[0])
-        faults.append((i, 2, "duplicate entry (%d,%d)" % (ms[i], js[i])))
-    finite = np.isfinite(re_parts) & np.isfinite(im_parts)
-    if not finite.all():
-        i = int(np.flatnonzero(~finite)[0])
-        faults.append((i, 3, "non-finite value at (%d,%d)" % (ms[i], js[i])))
-    if faults:
-        raise DataError("%s: %s" % (path, min(faults)[2]))
-    if valid != n * n:
-        missing = [(int(k) // n + 1, int(k) % n + 1) for k in np.flatnonzero(counts == 0)[:8]]
-        raise DataError("%s: missing entries %s" % (path, missing))
-    entries = np.empty(n * n, dtype=complex)
-    entries.real[keys] = re_parts
-    entries.imag[keys] = im_parts
-    entries = entries.reshape(n, n)
+    try:
+        entries = _clean_entries(rows, n)
+    except ValueError:
+        raise _first_fault(path, rows, n) from None
     kind = KIND_ZERO_DIAGONAL if np.all(np.diag(entries) == 0) else KIND_FULL
     return ScatteringMatrix(entries, kind, "file", f_hz)
 
@@ -190,22 +173,26 @@ def _map_sidecar(image, path, meta):
 
 
 def _write_map_csv(image, path):
-    # Each axis value is formatted once and one map row is held as text at
-    # a time; tolist() yields Python floats, whose repr is _fmt's.
-    ys = ["," + _fmt(y) + "," for y in image.grid.y_axis()]
+    # One % format per grid row: each y is formatted once into a tail
+    # ",y,%r\n", a row's template is x + x.join(tails), and one row of the
+    # map is held as Python floats at a time (%r of a float is _fmt's repr).
+    tails = ["," + _fmt(y) + ",%r\n" for y in image.grid.y_axis()]
     with _create(path) as fh:
         fh.write("x,y,value\n")
-        for x, row in zip(image.grid.x_axis().tolist(), image.values.tolist()):
+        for x, row in zip(image.grid.x_axis().tolist(), image.values):
             x = repr(x)
-            fh.write("".join([x + y + v + "\n" for y, v in zip(ys, map(repr, row))]))
+            fh.write((x + x.join(tails)) % tuple(row.tolist()))
 
 
 def _write_map_pgm(image, path):
     values = image.values
     vmax = float(values.max())
+    # Scaled, multiplied and rounded in one float buffer.
     scaled = np.zeros_like(values) if vmax == 0 else values / vmax
+    scaled *= 255.0
+    np.rint(scaled, out=scaled)
     # Image convention: first pixel row is y_max, columns run x_min -> x_max.
-    pixels = np.rint(255.0 * scaled[:, ::-1].T).astype(np.uint8)
+    pixels = scaled[:, ::-1].T.astype(np.uint8)
     height, width = pixels.shape
     with _create(path, "wb") as fh:
         fh.write(b"P5\n%d %d\n255\n" % (width, height))

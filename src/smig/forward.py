@@ -334,7 +334,13 @@ def incident_coupling_smatrix(array, medium):
     k = em.wavenumber(medium).k
     n = array.count
     m, j = np.triu_indices(n, 1)
-    dist = np.hypot(*(array.positions[m] - array.positions[j]).T)
+    dist = np.hypot(*(array.positions[m] - array.positions[j]).T).tolist()
+    # A ring repeats most pair distances bit for bit (7,017 distinct of
+    # 523,776 at N = 1024): each distinct one is evaluated once, in order of
+    # first appearance.  The batch keeps its largest argument, so hankel1_0's
+    # Miller start, and each value, is the one of the batch of all pairs.
+    index = {}
+    pair = [index.setdefault(d, len(index)) for d in dist]
     out = np.zeros((n, n), dtype=complex)
-    out[m, j] = out[j, m] = -0.25j * hankel1_0(k * dist)
+    out[m, j] = out[j, m] = (-0.25j * hankel1_0(k * np.array(list(index))))[pair]
     return ScatteringMatrix(out, KIND_FULL, "incident_coupling", medium.frequency_hz)

@@ -56,9 +56,9 @@ RANK_MODES = ("relative_threshold", "fixed")
 # distances together, so memory grows with the points only through the
 # representatives' indices and the value and output arrays: at 2047^2 points
 # (Table-1 scenario, 8-fold sweep, 2-vCPU VM, two sweep threads, one BLAS
-# thread) `smig image` peaks at 180 MiB RSS with PGM output (0.27 s) and
-# 234 MiB with CSV output (1.9 s); the map alone peaks at 86 MiB, and the
-# output writer's temporaries set the rest.
+# thread) `smig image` peaks at 84 MiB RSS with CSV output (1.7 s), which
+# the map itself sets (the writer holds one grid row at a time), and at
+# 116 MiB with PGM output (0.32 s; the writer adds one float copy of the map).
 MAX_GRID_POINTS = 2 ** 22
 
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from smig import config as cfgmod
 from smig import fileio, forward, structure
-from smig.cli import main
+from smig.cli import build_parser, main
 
 FAST = [
     "--override", "grid.x_min_m=-0.05", "--override", "grid.x_max_m=0.05",
@@ -277,3 +277,42 @@ def test_cli_never_tracebacks(tmp_path, capsys, command, key, value):
     assert rc in (0, 1)
     if rc == 1:
         assert _one_line_error(err), err
+
+
+_PARSER_ARGVS = {
+    "simulate": ["simulate", "--config", "c.txt", "--override", "array.count=8",
+                 "--override", "grid.step_m=0.002", "--out", "o", "--seed", "3"],
+    "image": ["image", "--format", "both", "--stot", "t.csv", "--sinc", "i.csv", "--seed", "1"],
+    "validate": ["validate", "--override", "medium.frequency_hz=2e9"],
+    "spectrum": ["spectrum", "--stot", "t.csv", "--sinc", "i.csv", "--out", "o"],
+}
+
+
+def _parse_outcome(parser, argv, capsys):
+    try:
+        result = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        result = exc.code
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+@pytest.mark.parametrize("command", sorted(_PARSER_ARGVS))
+def test_parser_of_one_command_matches_the_full_parser(capsys, command):
+    # build_parser(command) gives only that subcommand its options: its help
+    # and its namespaces are the full parser's.
+    for argv in (_PARSER_ARGVS[command], [command, "--help"], [command],
+                 [command, "--stot"], [command, "--format", "bmp"]):
+        assert (_parse_outcome(build_parser(command), argv, capsys)
+                == _parse_outcome(build_parser(), argv, capsys)), argv
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["bogus"], [], ["bogus", "--help"],
+                                  ["--out", "o", "image"]])
+def test_main_without_a_command_keeps_the_full_usage(capsys, argv):
+    expected = _parse_outcome(build_parser(), argv, capsys)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out, captured.err) == expected
+    assert exc.value.code in (0, 2)

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -306,6 +307,73 @@ def test_map_csv_round_trip(tmp_path, default_grid):
         for ix in range(xs.size) for iy in range(ys.size)
     )
     assert path.read_bytes() == expected.encode()
+
+
+def _reference_map_csv(image):
+    """The per-line writer: x, y and value joined for each grid point."""
+    ys = ["," + repr(float(y)) + "," for y in image.grid.y_axis()]
+    lines = ["x,y,value\n"]
+    for x, row in zip(image.grid.x_axis().tolist(), image.values.tolist()):
+        lines += [repr(x) + y + repr(v) + "\n" for y, v in zip(ys, row)]
+    return "".join(lines).encode()
+
+
+def _reference_map_pgm(image):
+    """Scale to the maximum, times 255, round; row 0 is y_max."""
+    values = image.values
+    vmax = float(values.max())
+    scaled = np.zeros_like(values) if vmax == 0 else values / vmax
+    pixels = np.rint(255.0 * scaled[:, ::-1].T).astype(np.uint8)
+    return b"P5\n%d %d\n255\n" % (pixels.shape[1], pixels.shape[0]) + pixels.tobytes()
+
+
+def _table1_map(grid=None):
+    """The map `smig image` computes on the Table-1 defaults, on grid if given."""
+    cfg = cfgmod.RunConfig()
+    scat = imaging.zero_diagonal(cfgmod.build_scattered(cfg))
+    [image] = imaging.image([scat], grid or cfgmod.build_grid(cfg), cfgmod.build_array(cfg),
+                            cfgmod.build_imaging_wavenumber(cfg), cfgmod.build_rank_policy(cfg))
+    return image
+
+
+@pytest.fixture(scope="module")
+def map_cases():
+    rng = np.random.default_rng(11)
+    near_antenna = _table1_map(imaging.ImagingGrid(-0.02, 0.02, -0.1, -0.08, 0.005))
+    assert np.count_nonzero(near_antenna.values == 0) == 1  # the grid point on antenna 1
+    cases = {"table1": _table1_map(), "excluded_point": near_antenna}
+    for name, grid, scale in (
+        ("below_1e-4", imaging.ImagingGrid(-0.1, 0.1, -0.1, 0.1, 0.01), 1e-7),
+        ("one_by_n", imaging.ImagingGrid(0.0, 0.001, -0.1, 0.1, 0.002), 1.0),
+        ("n_by_one", imaging.ImagingGrid(-0.1, 0.1, 0.0, 0.001, 0.002), 1.0),
+        ("undivided_bounds", imaging.ImagingGrid(-0.1, 0.1, -0.07, 0.1, 0.003), 1.0),
+    ):
+        cases[name] = imaging.ImageMap(grid, scale * rng.random(grid.shape), 1, 1e9, "full")
+    cases["all_zero"] = imaging.ImageMap(cases["one_by_n"].grid, np.zeros((1, 101)), 1, 1e9, "full")
+    return cases
+
+
+@pytest.mark.parametrize("case", ["table1", "excluded_point", "below_1e-4", "one_by_n",
+                                  "n_by_one", "undivided_bounds", "all_zero"])
+def test_map_files_match_reference_formatters(tmp_path, map_cases, case):
+    image = map_cases[case]
+    for ext, reference in (("csv", _reference_map_csv), ("pgm", _reference_map_pgm)):
+        path = tmp_path / ("map." + ext)
+        fileio.write_map(image, path, ext)
+        assert path.read_bytes() == reference(image), ext
+
+
+def test_map_csv_holds_one_row_in_memory(tmp_path, map_cases):
+    # The Table-1 map as Python floats would take 1.3 MiB; one row of
+    # floats and its text stay far below 0.25 MiB.
+    image = map_cases["table1"]
+    tracemalloc.start()
+    try:
+        fileio.write_map(image, tmp_path / "map.csv", "csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * 2 ** 20
 
 
 def test_map_pgm_constant_saturates(tmp_path, coarse_grid):

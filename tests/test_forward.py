@@ -15,7 +15,7 @@ from smig.errors import (
     ShapeError,
     TruncationError,
 )
-from smig.specfun import SeriesTruncation
+from smig.specfun import SeriesTruncation, hankel1_0
 
 from oracle_values import S12_BORN
 
@@ -331,3 +331,17 @@ def test_incident_coupling_matches_pairwise_fields(paper_array, paper_medium):
             assert abs(s[m, j] - ref) <= 1e-13 * abs(ref)
     assert np.array_equal(s, s.T)
     assert np.all(np.diag(s) == 0)
+
+
+@pytest.mark.parametrize("count", [2, 3, 16, 32, 64])
+def test_incident_coupling_bit_equal_to_one_batch_of_all_pairs(paper_array, paper_medium, count):
+    # Reference: every pair distance in one hankel1_0 batch.  Evaluating each
+    # distinct distance once keeps the batch's largest argument, so the values
+    # match bit for bit.
+    array = em.antenna_array(count, paper_array.radius)
+    s = forward.incident_coupling_smatrix(array, paper_medium).entries
+    m, j = np.triu_indices(count, 1)
+    dist = np.hypot(*(array.positions[m] - array.positions[j]).T)
+    ref = np.zeros((count, count), dtype=complex)
+    ref[m, j] = ref[j, m] = -0.25j * hankel1_0(em.wavenumber(paper_medium).k * dist)
+    assert np.array_equal(s.view(np.uint64), ref.view(np.uint64))
