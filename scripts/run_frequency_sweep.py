@@ -2,8 +2,7 @@
 """Resolution-vs-frequency sweep for the diagonal-free map.
 
 Images the Table-1 small anomaly at several frequencies and tabulates the
-peak half-max width: higher frequency narrows the peak (finer resolution)
-at the price of more sidelobe structure.
+peak half-max width: higher frequency narrows the peak (finer resolution).
 
     python scripts/run_frequency_sweep.py [outdir]
 """
@@ -22,7 +21,7 @@ def main():
     base = config.RunConfig()
     array, grid = config.build_array(base), config.build_grid(base)
 
-    print("f_GHz  lambda_m  argmax_m              peak    FWHM_m  sidelobe_frac")
+    print("f_GHz  lambda_m  argmax_m              peak    FWHM_m")
     for f in FREQS_GHZ:
         cfg = config.apply_overrides(base, ["medium.frequency_hz=%r" % (f * 1e9)])
         k = config.build_imaging_wavenumber(cfg)
@@ -31,11 +30,9 @@ def main():
         loc, peak = imaging.argmax(image)
         res = imaging.fwhm(image, loc)
         lam = em.wavelength(k)
-        near, hot = imaging.half_max_near(image, loc, 0.0, lam / 2.0)
-        sidelobe = (hot - near) / image.values.size
         fileio.write_map(image, "%s/map_%.1fGHz.pgm" % (OUT, f), "pgm")
-        print("%5.1f  %8.4f  (%+.4f, %+.4f)  %.4f  %.4f  %.4f%s"
-              % (f, lam, loc[0], loc[1], peak, res.width, sidelobe,
+        print("%5.1f  %8.4f  (%+.4f, %+.4f)  %.4f  %.4f%s"
+              % (f, lam, loc[0], loc[1], peak, res.width,
                  "  [half-max region hits grid edge]" if res.touches_boundary else ""))
 
 

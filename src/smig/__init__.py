@@ -32,15 +32,13 @@ from .imaging import (
     image_full,
     select_rank,
     svd,
-    test_vector,
     zero_diagonal,
 )
-from .specfun import SeriesTruncation, bessel_j, bessel_y, hankel1_0, jacobi_anger_partial
+from .specfun import SeriesTruncation, bessel_j, bessel_y, hankel1_0
 from .structure import (
     StructureConfig,
     ideal_plane_wave_matrix,
     migration_response,
-    psi1,
     structure_diag,
     structure_full,
     validate,

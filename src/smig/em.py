@@ -105,8 +105,8 @@ class AntennaArray:
 # distance count).  At 1024 antennas (Table-1 scenario, 2-vCPU VM, one BLAS
 # thread) `smig spectrum` takes 0.61 s and peaks at 174 MiB RSS; `smig image
 # --format pgm` takes 0.72 s and 175 MiB with two sweep threads (8-fold sweep);
-# `smig simulate` takes 2.9 s and peaks at 303 MiB, nearly all of both in
-# writing the three S-parameter files.
+# `smig simulate` takes 2.4 s, 2.0 s of it in writing the three S-parameter
+# files (one matrix row at a time), and peaks at 114 MiB.
 MAX_ANTENNAS = 1024
 
 

@@ -6,12 +6,12 @@ S-parameters travel as CSV with a one-line header:
     m,n,re,im
 
 Values are written with the shortest round-trip decimal representation,
-so write -> read is bit-exact.  The writer formats the whole body with one
-%-format; the reader converts a clean file column by column and re-reads
-a faulty one row by row.  A faulty file is reported by its first faulty
-row in file order (within a row: malformed, index out of range,
-duplicate, non-finite), and a file without such rows by its missing
-entries.
+so write -> read is bit-exact.  The writer formats one matrix row at a
+time with one %-format per row; the reader converts a clean file column
+by column and re-reads a faulty one row by row.  A faulty file is
+reported by its first faulty row in file order (within a row: malformed,
+index out of range, duplicate, non-finite), and a file without such rows
+by its missing entries.
 
 Maps go out as x,y,value CSV, written one grid row at a time with one
 %-format per row, or as binary P5 PGM (row 0 = y_max), each with a
@@ -62,16 +62,16 @@ def write_sparams(s_matrix, path, meta=None):
     if not np.all(np.isfinite(s_matrix.entries)):
         raise DataError("%s: refusing to write non-finite entries" % path)
     n = s_matrix.size
-    # One "m,n,re,im" row per entry from one % format over a flat tuple;
-    # tolist() yields Python floats, whose repr is _fmt's.
-    args = [None] * (4 * n * n)
-    args[0::4] = [m for m in range(1, n + 1) for _ in range(n)]
-    args[1::4] = list(range(1, n + 1)) * n
-    args[2::4] = s_matrix.entries.real.ravel().tolist()
-    args[3::4] = s_matrix.entries.imag.ravel().tolist()
+    # One % format per matrix row: the tails ",n,%r,%r\n" are built once, a
+    # row's template is m + m.join(tails), and its floats, interleaved re, im
+    # by a float view of a C-ordered row, are held as Python floats (%r of a
+    # float is _fmt's repr) one row at a time.
+    tails = [",%d,%%r,%%r\n" % j for j in range(1, n + 1)]
     with _create(path) as fh:
         fh.write("# smig-sparams v1, N=%d, f_hz=%s\nm,n,re,im\n" % (n, _fmt(s_matrix.frequency_hz)))
-        fh.write("%d,%d,%r,%r\n" * (n * n) % tuple(args))
+        for m, row in enumerate(np.ascontiguousarray(s_matrix.entries), start=1):
+            m = str(m)
+            fh.write((m + m.join(tails)) % tuple(row.view(float).tolist()))
     if meta is not None:
         write_sidecar(path, meta)
 

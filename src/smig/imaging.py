@@ -1,4 +1,4 @@
-"""SVD-based imaging: rank selection, test vectors, grid lattice and maps,
+"""SVD-based imaging: rank selection, steering vectors, grid lattice and maps,
 peak and half-max metrics.
 
 Both imaging functions of the paper are one map, image, of the projection
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import em, specfun
-from .errors import ConfigError, DataError, KindError, RankError, SingularityError
+from .errors import ConfigError, DataError, KindError, RankError
 from .forward import KIND_FULL, KIND_ZERO_DIAGONAL, ScatteringMatrix
 
 STEERING_HANKEL = "hankel"
@@ -194,18 +194,6 @@ def select_rank(svd_result, policy):
     return max(1, int(np.sum(tau >= policy.threshold * tau[0])))
 
 
-def test_vector(r, array, k):
-    """Unit steering vector of line-source fields from every antenna to r.
-
-    The exact (hankel1_0) reference for the map's steering; raises on an antenna.
-    """
-    r = np.asarray(r, dtype=float)
-    w, coincident = em.incident_field_many(r[None, :], array.positions, k)
-    if coincident[0]:
-        raise SingularityError("a search point coincides with an antenna position")
-    return w[0] / np.linalg.norm(w[0])
-
-
 def _steering_block(points, array, k, steering, table):
     """Unit steering vectors for a block of points, shape (npts, N).
 
@@ -237,41 +225,15 @@ def _hankel_table(orbits, array, k):
     Distance to an antenna is convex over the rectangle of the fundamental
     domain's index box, so its largest value is at the farthest corner and
     its smallest at the antenna clamped into the rectangle.  The size rule
-    sees the representatives' distances.  The table also holds the exact
-    values of the distances below its floor, from one hankel1_0 call.
+    sees the representatives' distances.
     """
     xs, ys = orbits.xs[:orbits.hx], orbits.ys[:orbits.hy]
     low, high = np.array([xs[0], ys[0]]), np.array([xs[-1], ys[-1]])
     pos = array.positions
     far = np.maximum(np.abs(pos - low), np.abs(pos - high))
     near = np.clip(pos, low, high) - pos
-    table = specfun.hankel1_0_table(k.k, np.hypot(*near.T).min(), np.hypot(*far.T).max(),
-                                    orbits.count * array.count)
-    return table.with_exact(_distances_below(xs, ys, pos, table.lo, orbits.swap))
-
-
-def _distances_below(xs, ys, positions, lo, swap):
-    """Distances in (0, lo) from the points (xs[i], ys[j]) to the antennas, those
-    with i <= j only under swap, at most _CHUNK_DISTANCES of them.
-
-    Each antenna's candidates are the grid box within lo of it.  A distance
-    is np.hypot(x - ax, y - ay) on em.incident_field_many's operands, so it
-    is bit for bit the distance a sweep chunk sees; distances past the
-    budget are left to the table's per-chunk fallback.
-    """
-    found = []
-    room = _CHUNK_DISTANCES
-    for ax, ay in positions:
-        ix = np.flatnonzero(np.abs(xs - ax) < lo)
-        iy = np.flatnonzero(np.abs(ys - ay) < lo)
-        ix = ix[:room // max(iy.size, 1)]  # the box holds at most room distances
-        d = np.hypot(xs[ix, None] - ax, ys[iy] - ay)
-        if swap:
-            d = d[ix[:, None] <= iy]
-        d = d.ravel()
-        found.append(d[(d > 0) & (d < lo)])
-        room -= found[-1].size
-    return np.concatenate(found)
+    return specfun.hankel1_0_table(k.k, np.hypot(*near.T).min(), np.hypot(*far.T).max(),
+                                   orbits.count * array.count)
 
 
 # Largest mismatch, relative to the coordinate scale, at which a grid axis or

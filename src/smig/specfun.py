@@ -36,16 +36,14 @@ as a 1-element batch and unwrapped):
     reads it chunk by chunk.  Segments are 0.05 rad wide in |k| d,
     degree 7.  Below |k| d = 0.4 the log singularity at d = 0 is too
     close for the table and hankel1_0 is used; at that floor the first
-    segment's centre is 17 half-widths from the singularity.  The sweep
-    computes the map's below-floor values once, in one hankel1_0 call
-    before its chunks start (DistanceTable.with_exact).  A table
+    segment's centre is 17 half-widths from the singularity.  A table
     serving fewer than 4 distances per node is not built: its node
     evaluations would cost more than it saves.  hankel1_0 remains the
     reference; the table agrees with it to about 1e-13 relative.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -361,17 +359,15 @@ class DistanceTable:
 
     Built by hankel1_0_table.  coef holds one row per Chebyshev order and
     one column per segment; a table with no segments sends every distance
-    to hankel1_0.  A distance outside [lo, hi] takes its value from exact,
-    the {distance: H_0^(1)} values of with_exact, or else from one
-    hankel1_0 call per call of the table (below the floor, d = 0, NaN), so
-    hankel1_0's errors are unchanged.
+    to hankel1_0.  The distances outside [lo, hi] (below the floor, d = 0,
+    NaN) take their values from one hankel1_0 call per call of the table,
+    so hankel1_0's errors are unchanged.
     """
 
     k: complex
     lo: float
     hi: float
     coef: np.ndarray
-    exact: dict = field(default_factory=dict)
 
     def __call__(self, d):
         d = np.asarray(d, dtype=float)
@@ -398,28 +394,8 @@ class DistanceTable:
         out = coef[0][seg] + t * b1 - b2
         rest = ~tabulated
         if rest.any():
-            far = d[rest]
-            values = [self.exact.get(x) for x in far.tolist()]
-            missing = [i for i, value in enumerate(values) if value is None]
-            if missing:
-                for i, value in zip(missing, hankel1_0(self.k * far[missing]).tolist()):
-                    values[i] = value
-            out[rest] = values
+            out[rest] = hankel1_0(self.k * d[rest])
         return out
-
-    def with_exact(self, d):
-        """This table, also holding H_0^(1)(k d) for distances d in (0, lo) from one hankel1_0 call.
-
-        A table without segments sends every distance to hankel1_0 and is
-        returned as it is.  Each value is bit for bit the one the table's
-        own fallback call would give: hankel1_0's Miller batch starts at the
-        same order for any batch with |z| <= 1, and below the floor |k| d <
-        0.4.  A distance is evaluated once however often d repeats it.
-        """
-        d = list(dict.fromkeys(np.asarray(d, dtype=float).tolist()))
-        if not self.coef.shape[1] or not d:
-            return self
-        return replace(self, exact=dict(zip(d, hankel1_0(self.k * np.array(d)).tolist())))
 
 
 def hankel1_0_table(k, lo, hi, count):
@@ -466,17 +442,3 @@ def _jacobi_anger_terms(x, theta, s_max, step=1):
     for s in range(step, s_max + 1, step):
         harmonics += ((1, 1j, -1, -1j)[s % 4] * 2.0 * seq[s])[..., None] * np.cos(s * theta)
     return seq[0], harmonics
-
-
-def jacobi_anger_partial(x, theta, trunc=SeriesTruncation()):
-    """Truncated plane-wave expansion J_0(x) + sum_{0<|s|<=S} i^s J_s(x) e^{is theta}.
-
-    Converges to exp(i x cos theta); the two-sided sum collapses to
-    J_0(x) + 2 sum_{s>=1} i^s J_s(x) cos(s theta) because the nonneg- and
-    negative-order terms pair up exactly.
-    """
-    x = float(x)
-    if not x >= 0:
-        raise DomainError("jacobi_anger_partial expects x >= 0, got %g" % x)
-    j0, harmonics = _jacobi_anger_terms(x, [float(theta)], trunc.max_order)
-    return complex(j0 + harmonics[0])

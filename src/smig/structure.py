@@ -3,7 +3,7 @@
 For a circular array the projection maps reduce, through the plane-wave
 expansion into integer-order Bessel harmonics, to explicit series:
 
-  full matrix      |(J_0(k|r-r*|) + Psi1_avg + artifact terms)^2|
+  full matrix      |(J_0(k|r-r*|) + Psi1_avg)^2|
   zero diagonal    N/(N-1) |(J_0(k|r-r*|) + Psi1_avg)^2
                             - (1/N)(J_0(2k|r-r*|) + Psi1_avg(2k))|
 
@@ -30,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import em, specfun
-from .errors import ConfigError
 from .forward import KIND_FULL, KIND_ZERO_DIAGONAL, ScatteringMatrix
 from .specfun import SeriesTruncation
 
@@ -41,13 +40,9 @@ class ValidityMarginWarning(UserWarning):
 
 @dataclass(frozen=True)
 class StructureConfig:
-    """Truncation and optional artifact centers."""
+    """Series truncation of the closed-form maps."""
 
     trunc: SeriesTruncation = SeriesTruncation()
-    artifact_locations: tuple = ()
-
-    def with_artifacts(self, locations):
-        return StructureConfig(self.trunc, tuple(np.asarray(p, float) for p in locations))
 
 
 def _ring_average(k_real, array, r, r_center, trunc):
@@ -62,18 +57,6 @@ def _ring_average(k_real, array, r, r_center, trunc):
     j0, harmonics = specfun._jacobi_anger_terms(x, theta[..., None], trunc.max_order,
                                                 step=array.count)
     return j0 + harmonics[..., 0]
-
-
-def psi1(k_real, theta_n, r, r_center, trunc=SeriesTruncation()):
-    """Two-sided harmonic series sum_{0<|s|<=S} i^s J_s(k|r-rc|) e^{is(theta_n - phi)}.
-
-    phi is the polar angle of r - r_center; the value is 0 when r equals
-    r_center because every J_s vanishes there.
-    """
-    delta = np.asarray(r, float) - np.asarray(r_center, float)
-    x = k_real * np.hypot(delta[..., 0], delta[..., 1])
-    theta = theta_n - np.arctan2(delta[..., 1], delta[..., 0])[..., None]
-    return complex(specfun._jacobi_anger_terms(x, theta, trunc.max_order)[1][0])
 
 
 def _check_margin(r, array, k_real, r_star):
@@ -93,19 +76,15 @@ def _unwrap(values):
 
 
 def structure_full(r, array, k_real, r_star, config=StructureConfig()):
-    """Closed-form value of the full-matrix map, artifact terms included.
+    """Closed-form value of the full-matrix map.
 
     r is one point (2,), giving a float, or a batch (P, 2), giving (P,).
     """
     r = np.asarray(r, float)
     r_star = np.asarray(r_star, float)
     _check_margin(r, array, k_real, r_star)
-    acc = _ring_average(k_real, array, r, r_star, config.trunc)
-    for rm in config.artifact_locations:
-        if np.hypot(*(np.asarray(rm, float) - r_star)) == 0.0:
-            raise ConfigError("artifact locations must differ from the anomaly center")
-        acc = acc + _ring_average(k_real, array, r, rm, config.trunc)
-    return _unwrap(np.abs(acc * acc))
+    g = _ring_average(k_real, array, r, r_star, config.trunc)
+    return _unwrap(np.abs(g * g))
 
 
 def structure_diag(r, array, k_real, r_star, config=StructureConfig()):

@@ -595,11 +595,18 @@ def test_sparams_reader_reports_the_row_by_row_fault(tmp_path, text):
 
 
 def test_sparams_writer_matches_row_by_row_format(tmp_path, born_fixture):
-    # Reference: one "%d,%d,%r,%r" row per entry, row-major.
-    path = tmp_path / "s.csv"
-    fileio.write_sparams(born_fixture, path)
-    rows = ["# smig-sparams v1, N=%d, f_hz=%r\nm,n,re,im\n"
-            % (born_fixture.size, float(born_fixture.frequency_hz))]
-    for m, row in enumerate(born_fixture.entries.tolist(), start=1):
-        rows += ["%d,%d,%r,%r\n" % (m, j, v.real, v.imag) for j, v in enumerate(row, start=1)]
-    assert path.read_text() == "".join(rows)
+    # Reference: one "%d,%d,%r,%r" row per entry, row-major; also for an
+    # F-ordered matrix holding -0.0, a subnormal and +-1e300.
+    entries = born_fixture.entries.copy()
+    entries[0, 1:5] = [complex(-0.0, 5e-324), complex(1e300, -1e300), -1e300j, complex(0.0, -0.0)]
+    odd = forward.ScatteringMatrix(entries.T, forward.KIND_FULL, "file", 2.5e9)
+    assert odd.entries.flags.f_contiguous and not odd.entries.flags.c_contiguous
+    for s_matrix in (born_fixture, odd):
+        path = tmp_path / "s.csv"
+        path.unlink(missing_ok=True)
+        fileio.write_sparams(s_matrix, path)
+        rows = ["# smig-sparams v1, N=%d, f_hz=%r\nm,n,re,im\n"
+                % (s_matrix.size, float(s_matrix.frequency_hz))]
+        for m, row in enumerate(s_matrix.entries.tolist(), start=1):
+            rows += ["%d,%d,%r,%r\n" % (m, j, v.real, v.imag) for j, v in enumerate(row, start=1)]
+        assert path.read_text() == "".join(rows)

@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smig import em, forward, imaging, specfun
-from smig.errors import (ConfigError, DataError, DomainError, KindError, RankError,
-                         SingularityError)
+from smig.errors import ConfigError, DataError, DomainError, KindError, RankError
 from smig.forward import KIND_FULL, ScatteringMatrix
 from smig.imaging import ImagingGrid, RankPolicy
 
@@ -127,39 +126,46 @@ def test_rank_policy_invariants():
         RankPolicy(mode="bogus")
 
 
+def _steering(points, array, k):
+    """Exact unit steering vectors (no table) of points (P, 2), and the excluded points."""
+    return imaging._steering_block(np.asarray(points, dtype=float), array, k,
+                                   imaging.STEERING_HANKEL, None)
+
+
 @given(
     rx=st.floats(min_value=-0.07, max_value=0.07),
     ry=st.floats(min_value=-0.07, max_value=0.07),
 )
 def test_test_vector_unit_norm(paper_array, paper_k, rx, ry):
-    w = imaging.test_vector((rx, ry), paper_array, paper_k)
-    assert abs(np.linalg.norm(w) - 1.0) <= 1e-12
+    w, _ = _steering([(rx, ry)], paper_array, paper_k)
+    assert abs(np.linalg.norm(w[0]) - 1.0) <= 1e-12
 
 
 def test_test_vector_continuity(paper_array, paper_k):
-    a = imaging.test_vector((0.012, -0.03), paper_array, paper_k)
-    b = imaging.test_vector((0.012 + 5e-6, -0.03), paper_array, paper_k)
+    (a, b), _ = _steering([(0.012, -0.03), (0.012 + 5e-6, -0.03)], paper_array, paper_k)
     angle = math.acos(min(1.0, abs(np.vdot(a, b))))
     assert angle <= 1e-3
 
 
 def test_test_vector_entries(paper_array, paper_k):
     r = np.array([0.02, -0.014])
-    w = imaging.test_vector(r, paper_array, paper_k)
+    w, _ = _steering([r], paper_array, paper_k)
     raw = np.array([
         em.incident_field(d, r, paper_k) for d in paper_array.positions
     ])
-    assert np.abs(w - raw / np.linalg.norm(raw)).max() <= 1e-13
+    assert np.abs(w[0] - raw / np.linalg.norm(raw)).max() <= 1e-13
 
 
 def test_test_vector_at_antenna(paper_array, paper_k):
-    with pytest.raises(SingularityError):
-        imaging.test_vector(paper_array.positions[2], paper_array, paper_k)
+    # A point on an antenna is excluded, with finite placeholder values.
+    on = paper_array.positions[2]
+    w, excluded = _steering([on, on + 1e-4], paper_array, paper_k)
+    assert excluded.tolist() == [True, False] and np.all(np.isfinite(w))
 
 
 def test_image_full_self_projection(paper_array, paper_k, coarse_grid):
     r0 = np.array([0.01, 0.03])
-    w = imaging.test_vector(r0, paper_array, paper_k)
+    (w,), _ = _steering([r0], paper_array, paper_k)
     s = _matrix(np.outer(w, w))
     image = imaging.image_full(s, coarse_grid, paper_array, paper_k,
                                RankPolicy(mode="fixed", fixed_m=1))
@@ -486,14 +492,12 @@ def test_map_values_finite_nonnegative_and_zero_on_antennas(
 
 
 def _exact_steering(grid, array, k):
-    """Rows of imaging.test_vector, the exact per-point path; zero rows on antennas."""
-    rows = []
-    for r in imaging.lattice(grid.x_axis(), grid.y_axis()):
-        try:
-            rows.append(imaging.test_vector(r, array, k))
-        except SingularityError:
-            rows.append(np.zeros(array.count, dtype=complex))
-    return np.array(rows)
+    """Unit rows of em.incident_field_many without a table, the exact path; zero rows on antennas."""
+    w, coincident = em.incident_field_many(imaging.lattice(grid.x_axis(), grid.y_axis()),
+                                           array.positions, k)
+    w /= np.linalg.norm(w, axis=1, keepdims=True)
+    w[coincident] = 0.0
+    return w
 
 
 @pytest.mark.parametrize("grid, lo_kd", [
@@ -540,43 +544,34 @@ def test_one_table_per_map(monkeypatch, contaminated_fixture, paper_array, paper
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_table1_map_makes_two_hankel_calls(monkeypatch, contaminated_fixture, paper_array,
-                                           paper_k, default_grid, workers):
-    # One call for the table's nodes and one for the below-floor distances of
-    # the 5,151 representative points, whatever the chunks and threads.
-    table = imaging._hankel_table(imaging._orbits(default_grid, paper_array), paper_array,
-                                  paper_k)
+def test_table1_map_evaluates_each_below_floor_distance_once(monkeypatch, contaminated_fixture,
+                                                            paper_array, paper_k, default_grid,
+                                                            workers):
+    # The first call evaluates the table's nodes.  Every later call is a
+    # chunk's below-floor distances, and together they hold each below-floor
+    # distance of the 5,151 representative points once; the distance of the
+    # point on an antenna is replaced before the table sees it.
+    orbits = imaging._orbits(default_grid, paper_array)
+    table = imaging._hankel_table(orbits, paper_array, paper_k)
+    i, j = orbits.representatives()
+    pos = paper_array.positions
+    d = np.hypot(orbits.xs[i, None] - pos[:, 0], orbits.ys[j, None] - pos[:, 1])
+    coincident = d <= em.COINCIDENCE_RTOL * paper_array.radius
+    below = int(np.sum((d < table.lo) & ~coincident))
     calls = []
     exact = specfun.hankel1_0
 
     def counted(z):
-        calls.append(np.size(z))
+        calls.append((np.size(z), np.abs(z).max()))
         return exact(z)
 
     monkeypatch.setattr(specfun, "hankel1_0", counted)
     monkeypatch.setattr(imaging, "_worker_count", lambda: workers)
     imaging.image_diag(imaging.zero_diagonal(contaminated_fixture), default_grid, paper_array,
                        paper_k)
-    assert calls == [table.coef.size, len(table.exact)] and len(table.exact) == 121
-
-
-def test_below_floor_values_keep_their_budget(monkeypatch, contaminated_fixture, paper_array,
-                                              paper_k):
-    # The search holds at most the budget; distances it leaves out take the
-    # per-chunk fallback, and the map does not change.
-    grid = ImagingGrid(-0.1, 0.1, -0.1, 0.1, 0.002)
-    xs, ys, pos = grid.x_axis(), grid.y_axis(), paper_array.positions
-    lo = specfun._TABLE_FLOOR / abs(paper_k.k)
-    found = imaging._distances_below(xs, ys, pos, lo, False)
-    assert found.size > 100 and np.all((found > 0) & (found < lo))
-    monkeypatch.setattr(imaging, "_CHUNK_DISTANCES", 100)
-    assert imaging._distances_below(xs, ys, pos, lo, False).size <= 100
-    monkeypatch.undo()
-    data = imaging.zero_diagonal(contaminated_fixture)
-    ref = imaging.image_diag(data, grid, paper_array, paper_k).values
-    search = imaging._distances_below
-    monkeypatch.setattr(imaging, "_distances_below", lambda *args: search(*args)[::3])
-    assert np.array_equal(imaging.image_diag(data, grid, paper_array, paper_k).values, ref)
+    assert calls[0][0] == table.coef.size == 3440
+    assert all(top < specfun._TABLE_FLOOR for _, top in calls[1:])
+    assert sum(size for size, _ in calls[1:]) == below == 120
 
 
 def test_batched_maps_match_their_one_matrix_maps(monkeypatch, contaminated_fixture,
@@ -880,16 +875,3 @@ def test_orbit_representatives_cover_the_grid_once(bounds, count, elements):
         moved = pts[i * ny + j][:, ::-1] if swap else pts[i * ny + j]
         moved = moved * [-1.0 if flip_x else 1.0, -1.0 if flip_y else 1.0]
         assert np.abs(pts[image] - moved).max() <= 1e-15
-
-
-def test_below_floor_search_sees_the_representatives(paper_array, paper_k, default_grid):
-    # With the swap, the search keeps the distances of the points i <= j of
-    # the domain box: those of the representatives, none twice as a mirror.
-    orbits = imaging._orbits(default_grid, paper_array)
-    lo = specfun._TABLE_FLOOR / abs(paper_k.k)
-    xs, ys = orbits.xs[:orbits.hx], orbits.ys[:orbits.hy]
-    found = imaging._distances_below(xs, ys, paper_array.positions, lo, True)
-    i, j = orbits.representatives()
-    d = np.hypot(orbits.xs[i, None] - paper_array.positions[:, 0],
-                 orbits.ys[j, None] - paper_array.positions[:, 1]).ravel()
-    assert sorted(found.tolist()) == sorted(d[(d > 0) & (d < lo)].tolist())

@@ -23,11 +23,11 @@ diag map: argmax (0.0220, 0.0530), 0.0351 m from center, peak 0.7475, 100% of ha
 full map: argmax (0.0010, 0.0020), 0.0201 m from center, peak 0.9952, 96% of half-max points within lambda/2 of the disc
 """,
     "run_frequency_sweep.py": """\
-f_GHz  lambda_m  argmax_m              peak    FWHM_m  sidelobe_frac
-  0.5    0.1320  (+0.0100, +0.0300)  0.9984  0.0469  0.0000
-  0.8    0.0833  (+0.0100, +0.0300)  0.9983  0.0303  0.0000
-  1.0    0.0668  (+0.0100, +0.0300)  0.9983  0.0244  0.0000
-  1.2    0.0557  (+0.0100, +0.0300)  0.9983  0.0205  0.0000
+f_GHz  lambda_m  argmax_m              peak    FWHM_m
+  0.5    0.1320  (+0.0100, +0.0300)  0.9984  0.0469
+  0.8    0.0833  (+0.0100, +0.0300)  0.9983  0.0303
+  1.0    0.0668  (+0.0100, +0.0300)  0.9983  0.0244
+  1.2    0.0557  (+0.0100, +0.0300)  0.9983  0.0205
 """,
     "run_localization.py": """\
 diagonal-free map: argmax (0.0100, 0.0300) m, peak 0.9983, FWHM 0.0244 m, <elapsed> s

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from smig import em, specfun
 from smig.errors import DomainError, SingularityError, TruncationError
-from smig.specfun import SeriesTruncation, bessel_j, bessel_y, hankel1_0, jacobi_anger_partial
+from smig.specfun import SeriesTruncation, bessel_j, bessel_y, hankel1_0
 
 from oracle_values import H0_AT_10, J0_ZEROS, PSI_SPOT, Y0_AT_1
 
@@ -64,18 +64,19 @@ def test_h0_oracle():
 
 
 def test_jacobi_anger_x_zero():
-    assert jacobi_anger_partial(0.0, 1.234) == 1.0
+    j0, harmonics = specfun._jacobi_anger_terms(0.0, [1.234, -2.0], 64)
+    assert j0 == 1.0 and np.all(harmonics == 0.0)
 
 
 def test_jacobi_anger_identity():
-    got = jacobi_anger_partial(5.0, math.pi / 3, SeriesTruncation(40, 1e-12))
-    assert abs(got - cmath.exp(1j * 5.0 * math.cos(math.pi / 3))) <= 1e-10
+    j0, harmonics = specfun._jacobi_anger_terms(5.0, [math.pi / 3], 40)
+    assert abs(j0 + harmonics[0] - cmath.exp(1j * 5.0 * math.cos(math.pi / 3))) <= 1e-10
 
 
 def test_jacobi_anger_truncation_failure():
     # Oracle is the exponential itself; S_max far below x must miss it.
-    got = jacobi_anger_partial(20.0, 1.1, SeriesTruncation(10, 1e-10))
-    assert abs(got - cmath.exp(1j * 20.0 * math.cos(1.1))) > 1e-3
+    j0, harmonics = specfun._jacobi_anger_terms(20.0, [1.1], 10)
+    assert abs(j0 + harmonics[0] - cmath.exp(1j * 20.0 * math.cos(1.1))) > 1e-3
 
 
 def test_jacobi_anger_monotone_convergence():
@@ -84,18 +85,19 @@ def test_jacobi_anger_monotone_convergence():
     # sign pattern, so compare five orders apart.
     for x in (4.7, 12.3, 19.5):
         target = cmath.exp(1j * x * math.cos(0.9))
-        errs = [
-            abs(jacobi_anger_partial(x, 0.9, SeriesTruncation(s, 1e-15)) - target)
-            for s in range(math.ceil(x), math.ceil(x) + 26)
-        ]
+        errs = []
+        for s in range(math.ceil(x), math.ceil(x) + 26):
+            j0, harmonics = specfun._jacobi_anger_terms(x, [0.9], s)
+            errs.append(abs(j0 + harmonics[0] - target))
         assert all(errs[i + 5] <= max(errs[i], 1e-11) for i in range(len(errs) - 5))
         assert errs[-1] <= 1e-10
 
 
 def test_psi_spot_value():
-    # exp(i 8 cos 0.7) - J0(8), frozen from the high-precision oracle.
-    got = jacobi_anger_partial(8.0, 0.7, SeriesTruncation(40, 1e-14)) - bessel_j(0, 8.0)
-    assert abs(got - PSI_SPOT) <= 1e-12
+    # The harmonic sum is exp(i 8 cos 0.7) - J0(8), frozen from the
+    # high-precision oracle.
+    _, harmonics = specfun._jacobi_anger_terms(8.0, [0.7], 40)
+    assert abs(harmonics[0] - PSI_SPOT) <= 1e-12
 
 
 @given(
@@ -132,9 +134,8 @@ def test_normalization_identity(x):
 @settings(max_examples=50)
 @given(x=st.floats(min_value=0.0, max_value=25.0), theta=st.floats(min_value=-math.pi, max_value=math.pi))
 def test_jacobi_anger_converged_matches_exponential(x, theta):
-    trunc = SeriesTruncation(int(math.ceil(x)) + 25, 1e-10)
-    got = jacobi_anger_partial(x, theta, trunc)
-    assert abs(got - cmath.exp(1j * x * math.cos(theta))) <= trunc.abs_tol
+    j0, harmonics = specfun._jacobi_anger_terms(x, [theta], math.ceil(x) + 25)
+    assert abs(j0 + harmonics[0] - cmath.exp(1j * x * math.cos(theta))) <= 1e-10
 
 
 def test_order_limit():
@@ -167,11 +168,6 @@ def test_truncation_invariants():
         SeriesTruncation(0, 1e-10)
     with pytest.raises(DomainError):
         SeriesTruncation(10, 0.0)
-
-
-def test_jacobi_anger_negative_x():
-    with pytest.raises(DomainError):
-        jacobi_anger_partial(-1.0, 0.0)
 
 
 def test_array_argument_path():
@@ -264,18 +260,18 @@ def test_distance_table_over_explicit_range(k):
 
 @pytest.mark.parametrize("k", _TABLE_KS, ids=["lossy", "lossless"])
 def test_distance_table_exact_values(k):
-    # Below-floor distances come from with_exact's one call; one it lacks
-    # gets hankel1_0's own value, bit for bit, as does every distance of a
+    # A below-floor distance takes hankel1_0's value bit for bit, alone or
+    # among any others in a call: below |z| = 1 hankel1_0's Miller batch starts
+    # at the same order whatever the batch.  So does every distance of a
     # table without segments.
     d = np.linspace(0.5, 30.0, 20001) / abs(k)
     table = specfun.hankel1_0_table(k, d[0], d[-1], 10 ** 6)
-    below = np.array([0.05, 0.2, 0.39]) / abs(k)
-    held = table.with_exact(below[:2])
-    assert list(held.exact) == below[:2].tolist()
-    assert np.array_equal(held(below), hankel1_0(k * below))
-    assert np.array_equal(held(d), table(d))
+    below = np.array([1e-7, 0.05, 0.2, 0.39]) / abs(k)
+    alone = np.array([hankel1_0(k * x) for x in below])
+    assert np.array_equal(table(below), alone)
+    assert np.array_equal(table(np.concatenate([d[::997], below]))[-below.size:], alone)
     bare = specfun.DistanceTable(k, table.lo, table.hi, table.coef[:, :0])
-    assert bare.with_exact(below) is bare
+    assert np.array_equal(bare(below), alone)
 
 
 def test_distance_table_keeps_exact_errors():

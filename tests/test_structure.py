@@ -1,4 +1,3 @@
-import cmath
 import math
 import warnings
 
@@ -8,41 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smig import em, forward, imaging, specfun, structure
-from smig.errors import ConfigError
 from smig.specfun import SeriesTruncation, bessel_j
 from smig.structure import StructureConfig, ValidityMarginWarning
 
-from oracle_values import K_LOSSLESS, PSI_SPOT
+from oracle_values import K_LOSSLESS
 
 
 @pytest.fixture(scope="module")
 def k_real():
     return K_LOSSLESS
-
-
-def test_psi1_vanishes_at_center(paper_array, k_real):
-    assert structure.psi1(k_real, paper_array.angles[0], (0.01, 0.03), (0.01, 0.03)) == 0
-
-
-@given(
-    theta=st.floats(min_value=-math.pi, max_value=math.pi),
-    dx=st.floats(min_value=-0.08, max_value=0.08),
-    dy=st.floats(min_value=-0.08, max_value=0.08),
-)
-def test_psi1_completes_plane_wave(k_real, theta, dx, dy):
-    # Psi1 + J0 is the truncated plane-wave expansion; its oracle is the
-    # exponential itself.
-    delta = np.hypot(dx, dy)
-    phi = math.atan2(dy, dx)
-    val = structure.psi1(k_real, theta, (dx, dy), (0.0, 0.0))
-    total = val + bessel_j(0, k_real * delta)
-    assert abs(total - cmath.exp(1j * k_real * delta * math.cos(theta - phi))) <= 1e-10
-
-
-def test_psi1_spot_value():
-    # k |r - rc| = 8 with theta_n - phi = 0.7; frozen exponential oracle.
-    got = structure.psi1(1.0, 0.7, (8.0, 0.0), (0.0, 0.0), SeriesTruncation(40, 1e-12))
-    assert abs(got - PSI_SPOT) <= 1e-12
 
 
 def test_structure_full_peak_is_one(paper_array, k_real):
@@ -66,21 +39,6 @@ def test_structure_full_matches_plane_wave_bilinear_on_ring(paper_array, k_real,
         g = np.mean(np.exp(1j * k_real * phases))
         got = structure.structure_full(r, paper_array, k_real, r_star)
         assert abs(got - abs(g * g)) <= 1e-8
-
-
-@pytest.mark.filterwarnings("ignore::smig.structure.ValidityMarginWarning")
-def test_structure_full_artifact_term_raises_value(paper_array, k_real, r_star):
-    rm = np.array([-0.04, -0.05])
-    cfg = StructureConfig().with_artifacts([rm])
-    with_art = structure.structure_full(rm, paper_array, k_real, r_star, cfg)
-    without = structure.structure_full(rm, paper_array, k_real, r_star)
-    assert with_art > without
-
-
-def test_structure_full_rejects_artifact_at_center(paper_array, k_real, r_star):
-    cfg = StructureConfig().with_artifacts([r_star])
-    with pytest.raises(ConfigError):
-        structure.structure_full(r_star, paper_array, k_real, r_star, cfg)
 
 
 @pytest.mark.parametrize("count", [4, 8, 16, 32])
@@ -313,7 +271,7 @@ def test_margin_warning_matches_the_brute_force_distance(count, radius, k_real, 
 @pytest.mark.filterwarnings("ignore::smig.structure.ValidityMarginWarning")
 def test_batch_points_match_single_points(paper_array, k_real, r_star):
     pts = np.array([(x, y) for x in np.linspace(-0.08, 0.08, 5) for y in (-0.05, 0.0, 0.07)])
-    cfg = StructureConfig().with_artifacts([(-0.04, -0.05)])
+    cfg = StructureConfig()
     for fn in (structure.structure_diag, structure.structure_full):
         batch = fn(pts, paper_array, k_real, r_star, cfg)
         assert batch.shape == (len(pts),)
