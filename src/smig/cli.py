@@ -29,7 +29,7 @@ def _load_config(args):
             cfg = cfgmod.parse_config(fh.read())
     if args.override:
         cfg = cfgmod.apply_overrides(cfg, args.override)
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:  # validate has no --seed
         cfg = cfgmod.with_seed(cfg, args.seed)
     return cfg
 
@@ -141,21 +141,26 @@ def _cmd_spectrum(args):
     return 0
 
 
-def _add_common(p):
+def _add_options(p, name):
     p.add_argument("--config", help="key-value config file")
     p.add_argument("--override", action="append", default=[], metavar="KEY=VALUE",
                    help="override one config key (repeatable)")
     p.add_argument("--out", help="output directory (default from config)")
-    p.add_argument("--format", choices=tuple(fileio.MAP_FORMATS), help="map output format")
-    p.add_argument("--seed", type=int, help="master seed for all random streams")
+    if name == "image":  # the one command that writes a map
+        p.add_argument("--format", choices=tuple(fileio.MAP_FORMATS), help="map output format")
+    if name != "validate":  # validate draws no random numbers
+        p.add_argument("--seed", type=int, help="master seed for all random streams")
+    if name in ("image", "spectrum"):
+        p.add_argument("--stot", help="measured total-field S-parameter file")
+        p.add_argument("--sinc", help="measured incident-field S-parameter file")
 
 
-_COMMANDS = (
-    ("simulate", _cmd_simulate, False),
-    ("image", _cmd_image, True),
-    ("validate", _cmd_validate, False),
-    ("spectrum", _cmd_spectrum, True),
-)
+_COMMANDS = {
+    "simulate": _cmd_simulate,
+    "image": _cmd_image,
+    "validate": _cmd_validate,
+    "spectrum": _cmd_spectrum,
+}
 
 
 def build_parser(command=None):
@@ -166,16 +171,12 @@ def build_parser(command=None):
         description="Scattering-matrix synthesis and subspace imaging pipeline",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    named = command in [name for name, _, _ in _COMMANDS]
-    for name, fn, measured in _COMMANDS:
+    named = command in _COMMANDS
+    for name, fn in _COMMANDS.items():
         p = sub.add_parser(name)
         p.set_defaults(fn=fn)
-        if named and name != command:
-            continue
-        _add_common(p)
-        if measured:
-            p.add_argument("--stot", help="measured total-field S-parameter file")
-            p.add_argument("--sinc", help="measured incident-field S-parameter file")
+        if not named or name == command:
+            _add_options(p, name)
     return parser
 
 

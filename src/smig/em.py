@@ -101,12 +101,12 @@ class AntennaArray:
 
 
 # Largest antenna count an array may have.  The N x N matrices and their SVD
-# grow as N^2 and N^3 (the imaging sweep's chunks in flight hold a fixed
-# distance count).  At 1024 antennas (Table-1 scenario, 2-vCPU VM, one BLAS
-# thread) `smig spectrum` takes 0.61 s and peaks at 174 MiB RSS; `smig image
-# --format pgm` takes 0.72 s and 175 MiB with two sweep threads (8-fold sweep);
-# `smig simulate` takes 2.4 s, 2.0 s of it in writing the three S-parameter
-# files (one matrix row at a time), and peaks at 114 MiB.
+# grow as N^2 and N^3 (an imaging sweep chunk holds a fixed distance count).
+# At 1024 antennas (Table-1 scenario, 2-vCPU VM, one BLAS thread) `smig
+# spectrum` takes 0.61 s and peaks at 174 MiB RSS; `smig image --format pgm`
+# takes 0.9 s and 174 MiB (8-fold sweep); `smig simulate` takes 2.4 s, 2.0 s
+# of it in writing the three S-parameter files (one matrix row at a time), and
+# peaks at 114 MiB.
 MAX_ANTENNAS = 1024
 
 

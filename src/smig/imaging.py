@@ -7,22 +7,19 @@ The matrix kind picks M, in select_rank alone: a zero-diagonal matrix
 images its first pair, a full matrix the pairs its rank policy keeps.
 
 image maps a batch of matrices in one sweep of the grid, in chunks of
-points on one thread per usable CPU (at most _MAX_WORKERS).  The sweep
-visits one point of each orbit of the symmetries the grid shares with
-the ring among the flips and quarter turns of the square (all 8 on the
-Table-1 defaults): the steering vector at g r is the one at r with its
-antennas permuted, so each chunk builds the steering vectors of its
-points once and projects them onto the singular vectors of every matrix,
-stacked once per g with their rows permuted, and writes each value to
-the |G| points of the orbit.  Each map point is written by one chunk, in
-a fixed order of g, so the values do not depend on the thread count; the
-chunks in flight together hold at most _CHUNK_DISTANCES grid-to-antenna
-distances.  Without a symmetry the sweep visits every point.
+points on the calling thread.  The sweep visits one point of each orbit
+of the symmetries the grid shares with the ring among the flips and
+quarter turns of the square (all 8 on the Table-1 defaults): the steering
+vector at g r is the one at r with its antennas permuted, so each chunk
+builds the steering vectors of its points once and projects them onto
+the singular vectors of every matrix, stacked once per g with their rows
+permuted, and writes each value to the |G| points of the orbit.  Each map
+point is written by one chunk, in a fixed order of g, and a chunk holds
+at most _CHUNK_DISTANCES grid-to-antenna distances.  Without a symmetry
+the sweep visits every point.
 """
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,31 +31,24 @@ from .forward import KIND_FULL, KIND_ZERO_DIAGONAL, ScatteringMatrix
 STEERING_HANKEL = "hankel"
 STEERING_PLANE_WAVE = "plane_wave"
 
-# Grid-to-antenna distances held by all steering chunks in flight together,
-# whatever the grid, antenna or thread count: 8 rows of the 201-point
-# Table-1 grid times 16 antennas.  Each thread keeps its own malloc arena,
-# which holds on to about one chunk's temporaries after the sweep: at twice
-# this budget, two threads raised the peak RSS of repeated Table-1
-# `smig image` calls by 2.5 MiB; at this one they lower it by 2.4 MiB.
+# Grid-to-antenna distances per steering chunk, whatever the grid or antenna
+# count: 8 rows of the 201-point Table-1 grid times 16 antennas.  A chunk's
+# temporaries set the sweep's share of memory: over 20 s of repeated Table-1
+# `smig image` requests (perfbench table1_image, 2-vCPU VM, one BLAS thread)
+# the process peaks at 45.8 MiB RSS, and at 44.6 MiB at half this budget, where
+# the N = 64, 401^2 map takes 5-10% longer.
 _CHUNK_DISTANCES = 8 * 201 * 16
-
-# Most sweep threads per map.  The threads split _CHUNK_DISTANCES, so each
-# added thread shrinks every chunk.  On one thread (2-vCPU VM) the Table-1
-# map takes as long in chunks of 12,864 distances as in 51,456, 10-20%
-# longer in 6,432 (4 threads' share) and 40-60% longer in 3,216: past 4
-# threads, per-call overhead in numpy would eat what more cores add.
-_MAX_WORKERS = 4
 
 RANK_MODES = ("relative_threshold", "fixed")
 
 # Largest grid an ImagingGrid may describe: 2^22 points, 26 times the 401^2
-# large case.  The steering sweep's chunks in flight hold _CHUNK_DISTANCES
-# distances together, so memory grows with the points only through the
-# representatives' indices and the value and output arrays: at 2047^2 points
-# (Table-1 scenario, 8-fold sweep, 2-vCPU VM, two sweep threads, one BLAS
-# thread) `smig image` peaks at 84 MiB RSS with CSV output (1.7 s), which
-# the map itself sets (the writer holds one grid row at a time), and at
-# 116 MiB with PGM output (0.32 s; the writer adds one float copy of the map).
+# large case.  A steering chunk holds _CHUNK_DISTANCES distances, so memory
+# grows with the points only through the representatives' indices and the
+# value and output arrays: at 2047^2 points (Table-1 scenario, 8-fold sweep,
+# 2-vCPU VM, one BLAS thread) `smig image` peaks at 83 MiB RSS with CSV output
+# (1.8 s), which the map itself sets (the writer holds one grid row at a time),
+# and at 114 MiB with PGM output (0.40 s; the writer adds one float copy of the
+# map).
 MAX_GRID_POINTS = 2 ** 22
 
 
@@ -321,15 +311,6 @@ def _orbits(grid, array):
                    (ys.size + 1) // 2 if flip_y else ys.size, swap)
 
 
-def _worker_count():
-    """Sweep threads: the CPUs this process may use, at most _MAX_WORKERS."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # not on every platform
-        cpus = os.cpu_count() or 1
-    return min(cpus, _MAX_WORKERS)
-
-
 def _column_groups(decomps, ranks, count, perms):
     """The maps' singular vectors, stacked in groups of at most count columns per row order.
 
@@ -374,54 +355,32 @@ def _projection_maps(decomps, ranks, grid, array, k, steering):
     rep_i, rep_j = orbits.representatives()
     n = rep_i.size
     vals = np.empty((len(decomps), grid.shape[0] * grid.shape[1]), dtype=float)
-    workers = _worker_count()
-    block = max(1, _CHUNK_DISTANCES // (array.count * workers))
+    block = max(1, _CHUNK_DISTANCES // array.count)
     # A one-point chunk takes BLAS's dot kernel, which rounds differently from
     # the matrix kernels of larger chunks: a last chunk of one point takes one
-    # more from the chunk before, so no value depends on the thread count.
+    # more from the chunk before, so no value depends on where the chunk
+    # boundaries fall.
     bounds = list(range(0, n, block)) + [n]
     if len(bounds) > 2 and n - bounds[-2] == 1:
         bounds[-2] -= 1
-    chunks = iter(zip(bounds[:-1], bounds[1:]))
-    lock = threading.Lock()
-    errors = []
-
-    def sweep():
-        # Takes chunks until none is left or any thread has failed.
-        try:
-            while not errors:
-                with lock:
-                    chunk = next(chunks, None)
-                if chunk is None:
-                    return
-                i, j = rep_i[slice(*chunk)], rep_j[slice(*chunk)]
-                pts = np.stack([orbits.xs[i], orbits.ys[j]], axis=1)
-                w, excluded = _steering_block(pts, array, k, steering, table)
-                np.conjugate(w, out=w)
-                # A point on an axis or diagonal is the image of its own
-                # representative under several g; the last g in order wins.
-                images = orbits.images(i, j)
-                for first, u, v_conj, columns in groups:
-                    prod = (w @ u) * (w @ v_conj)
-                    width = u.shape[1] // len(images)
-                    for q, image in enumerate(images):
-                        for m, (start, stop) in enumerate(columns, first):
-                            pairs = prod[:, q * width + start:q * width + stop]
-                            vals[m, image] = np.abs(np.sum(pairs, axis=1))
-                if excluded.any():
-                    for image in images:
-                        vals[:, image[excluded]] = 0.0
-        except BaseException as exc:  # re-raised in the calling thread, no thread traceback
-            errors.append(exc)
-
-    threads = [threading.Thread(target=sweep, daemon=True) for _ in range(workers - 1)]
-    for thread in threads:
-        thread.start()
-    sweep()
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        i, j = rep_i[lo:hi], rep_j[lo:hi]
+        pts = np.stack([orbits.xs[i], orbits.ys[j]], axis=1)
+        w, excluded = _steering_block(pts, array, k, steering, table)
+        np.conjugate(w, out=w)
+        # A point on an axis or diagonal is the image of its own
+        # representative under several g; the last g in order wins.
+        images = orbits.images(i, j)
+        for first, u, v_conj, columns in groups:
+            prod = (w @ u) * (w @ v_conj)
+            width = u.shape[1] // len(images)
+            for q, image in enumerate(images):
+                for m, (start, stop) in enumerate(columns, first):
+                    pairs = prod[:, q * width + start:q * width + stop]
+                    vals[m, image] = np.abs(np.sum(pairs, axis=1))
+        if excluded.any():
+            for image in images:
+                vals[:, image[excluded]] = 0.0
     return vals.reshape((len(decomps),) + grid.shape)
 
 

@@ -348,8 +348,13 @@ _TABLE_DEGREE = 7
 # (a few per mille of an imaging grid) go to hankel1_0.
 _TABLE_FLOOR = 0.4
 # Distances per node below which the table does not pay: each node is one
-# exact evaluation and the build costs ~1 ms besides, while a tabulated
-# distance costs ~1/10 of an exact one; break-even measured at 1-3.
+# exact evaluation and the build costs ~0.7 ms besides, while a tabulated
+# distance costs a fraction of an exact one.  Against the one-thread,
+# symmetry-reduced imaging sweep (Table-1 scenario, 3,440 nodes, 2-vCPU VM,
+# one BLAS thread) the map breaks even at about 1.5: at 1.07 the table takes
+# 1.16 ms and exact values 0.99 ms, at 1.63 1.27 and 1.32 ms; at 3.4 the
+# table is 2.0 times faster, at the Table-1 grid's 24 5.6 times.  The value
+# stays: another one changes which grids take the table, and so their maps' bits.
 _TABLE_MIN_RATIO = 4
 
 

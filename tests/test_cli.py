@@ -302,9 +302,20 @@ def test_parser_of_one_command_matches_the_full_parser(capsys, command):
     # build_parser(command) gives only that subcommand its options: its help
     # and its namespaces are the full parser's.
     for argv in (_PARSER_ARGVS[command], [command, "--help"], [command],
-                 [command, "--stot"], [command, "--format", "bmp"]):
+                 [command, "--stot"], [command, "--format", "bmp"], [command, "--format", "csv"]):
         assert (_parse_outcome(build_parser(command), argv, capsys)
                 == _parse_outcome(build_parser(), argv, capsys)), argv
+
+
+@pytest.mark.parametrize("argv", [["simulate", "--format", "csv"], ["spectrum", "--format", "csv"],
+                                  ["validate", "--format", "csv"], ["validate", "--seed", "1"]])
+def test_unused_option_is_usage_error(capsys, argv):
+    # Only image writes a map, and validate draws no random numbers.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.startswith("usage: smig") and "unrecognized arguments: %s" % argv[1] in err
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["bogus"], [], ["bogus", "--help"],

@@ -1,6 +1,4 @@
 import math
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -8,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smig import em, forward, imaging, specfun
-from smig.errors import ConfigError, DataError, DomainError, KindError, RankError
+from smig.errors import ConfigError, DataError, KindError, RankError
 from smig.forward import KIND_FULL, ScatteringMatrix
 from smig.imaging import ImagingGrid, RankPolicy
 
@@ -543,10 +541,8 @@ def test_one_table_per_map(monkeypatch, contaminated_fixture, paper_array, paper
     assert len(builds) == 2
 
 
-@pytest.mark.parametrize("workers", [1, 2])
 def test_table1_map_evaluates_each_below_floor_distance_once(monkeypatch, contaminated_fixture,
-                                                            paper_array, paper_k, default_grid,
-                                                            workers):
+                                                            paper_array, paper_k, default_grid):
     # The first call evaluates the table's nodes.  Every later call is a
     # chunk's below-floor distances, and together they hold each below-floor
     # distance of the 5,151 representative points once; the distance of the
@@ -566,7 +562,6 @@ def test_table1_map_evaluates_each_below_floor_distance_once(monkeypatch, contam
         return exact(z)
 
     monkeypatch.setattr(specfun, "hankel1_0", counted)
-    monkeypatch.setattr(imaging, "_worker_count", lambda: workers)
     imaging.image_diag(imaging.zero_diagonal(contaminated_fixture), default_grid, paper_array,
                        paper_k)
     assert calls[0][0] == table.coef.size == 3440
@@ -626,64 +621,19 @@ def test_sweep_chunks_keep_the_distance_budget(monkeypatch, small_anomaly, paper
     nx, ny = asymmetric.shape
     assert sum(chunks) == nx * ny * array.count
     assert max(chunks) <= imaging._CHUNK_DISTANCES
-    # The chunks of all sweep threads share the budget.
-    peak = [0]
-    monkeypatch.setattr(em, "incident_field_many", _in_flight_counter(many, peak))
-    imaging.image_diag(data, default_grid, array, paper_k)
-    assert 0 < peak[0] <= imaging._CHUNK_DISTANCES
-
-
-def _in_flight_counter(many, peak):
-    """Wraps incident_field_many; peak[0] is the most distances in flight at once."""
-    lock = threading.Lock()
-    in_flight = [0]
-
-    def counted(points, positions, *args, **kwargs):
-        with lock:
-            in_flight[0] += len(points) * len(positions)
-            peak[0] = max(peak[0], in_flight[0])
-        try:
-            return many(points, positions, *args, **kwargs)
-        finally:
-            with lock:
-                in_flight[0] -= len(points) * len(positions)
-
-    return counted
-
-
-def test_sweep_threads_under_contention(monkeypatch, small_anomaly, paper_medium, paper_k):
-    # More threads than cores and frequent switches: the chunks in flight
-    # stay within the budget and the map is the single-thread map, also at
-    # the sweep's last point, which 4-thread chunks would leave alone: the
-    # 8-fold sweep of the 145^2 grid visits 2,701 = 27 * 100 + 1 points.
-    array = em.antenna_array(64, 0.09)
-    data = imaging.zero_diagonal(forward.born_smatrix(array, [small_anomaly], paper_medium))
-    grid = ImagingGrid(-0.144, 0.144, -0.144, 0.144, 0.002)
-    orbits = imaging._orbits(grid, array)
-    assert len(orbits.elements) == 8 and orbits.count % _block(array, 4) == 1
-    monkeypatch.setattr(imaging, "_worker_count", lambda: 1)
-    ref = imaging.image_diag(data, grid, array, paper_k).values
-    monkeypatch.setattr(imaging, "_worker_count", lambda: 4)
-    peak = [0]
-    monkeypatch.setattr(em, "incident_field_many", _in_flight_counter(em.incident_field_many, peak))
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        got = imaging.image_diag(data, grid, array, paper_k).values
-    finally:
-        sys.setswitchinterval(interval)
-    assert 0 < peak[0] <= imaging._CHUNK_DISTANCES
-    assert np.array_equal(got, ref)
 
 
 @pytest.mark.parametrize("kind, step", [
     ("zero_diagonal", 0.001),
     ("full_rank_3", 0.001),
-    ("zero_diagonal", 0.0005),  # 401 points a row: two-thread chunks split rows
-    ("zero_diagonal", "0.001_half_0.201"),  # 8-fold sweep of 20,503 = 51 * 402 + 1 points
+    ("zero_diagonal", 0.0005),
+    ("zero_diagonal", "0.001_half_0.201"),
 ])
-def test_map_does_not_depend_on_the_thread_count(monkeypatch, contaminated_fixture, paper_array,
+def test_map_does_not_depend_on_the_chunk_budget(monkeypatch, contaminated_fixture, paper_array,
                                                  paper_k, kind, step):
+    # The budget, half of it, and a budget whose chunks would leave the
+    # sweep's last point a chunk of its own: each one ends chunks inside rows
+    # of the domain (i <= j), and the maps are bit for bit the same.
     half = 0.1
     if step == "0.001_half_0.201":
         step, half = 0.001, 0.201
@@ -696,60 +646,18 @@ def test_map_does_not_depend_on_the_thread_count(monkeypatch, contaminated_fixtu
         def image():
             return imaging.image_full(contaminated_fixture, grid, paper_array, paper_k,
                                       RankPolicy(mode="fixed", fixed_m=3))
+    orbits = imaging._orbits(grid, paper_array)
+    i, _ = orbits.representatives()
+    row_starts = set(np.flatnonzero(np.diff(i)) + 1)
+    budget, count = imaging._CHUNK_DISTANCES, paper_array.count
+    lone = max(b for b in range(2, budget // count + 1) if (i.size - 1) % b == 0)
+    assert len(orbits.elements) == 8 and i.size % lone == 1
     maps = []
-    for workers in (1, 2, 4):
-        monkeypatch.setattr(imaging, "_worker_count", lambda: workers)
+    for distances in (budget, budget // 2, lone * count):
+        assert not set(range(0, i.size, distances // count)) <= row_starts | {0}
+        monkeypatch.setattr(imaging, "_CHUNK_DISTANCES", distances)
         maps.append(image().values)
-    if half == 0.1:
-        splits_rows = _block(paper_array, 2) % grid.shape[1] != 0
-        assert splits_rows == (step == 0.0005)
-    else:
-        # The chunks of 2 and 4 threads end inside rows of the domain (i <= j),
-        # and 4 threads would leave the last point a chunk of its own.
-        orbits = imaging._orbits(grid, paper_array)
-        i, _ = orbits.representatives()
-        row_starts = set(np.flatnonzero(np.diff(i)) + 1)
-        assert len(orbits.elements) == 8 and i.size % _block(paper_array, 4) == 1
-        for workers in (2, 4):
-            assert not set(range(0, i.size, _block(paper_array, workers))) <= row_starts
     assert np.array_equal(maps[0], maps[1]) and np.array_equal(maps[0], maps[2])
-
-
-def _block(array, workers):
-    return imaging._CHUNK_DISTANCES // (array.count * workers)
-
-
-@pytest.mark.parametrize("fails", ["third_call", "first_worker_call"])
-def test_chunk_error_reaches_the_caller(monkeypatch, capfd, contaminated_fixture, paper_array,
-                                        paper_k, default_grid, fails):
-    # A chunk after the first fails, on either thread: the caller gets that
-    # DomainError, and no thread prints a traceback.
-    lock = threading.Lock()
-    calls = []
-    raised = []
-    many = em.incident_field_many
-
-    def failing(*args, **kwargs):
-        with lock:
-            calls.append(threading.current_thread() is threading.main_thread())
-            if fails == "third_call":
-                fail = len(calls) == 3
-            else:
-                fail = not calls[-1] and not raised
-            if fail:
-                raised.append(DomainError("chunk %d" % len(calls)))
-        if fail:
-            raise raised[0]
-        return many(*args, **kwargs)
-
-    monkeypatch.setattr(imaging, "_worker_count", lambda: 2)
-    monkeypatch.setattr(em, "incident_field_many", failing)
-    assert imaging._orbits(default_grid, paper_array).count > 3 * _block(paper_array, 2)
-    with pytest.raises(DomainError) as excinfo:
-        imaging.image_diag(imaging.zero_diagonal(contaminated_fixture), default_grid,
-                           paper_array, paper_k)
-    assert excinfo.value is raised[0]
-    assert capfd.readouterr().err == ""
 
 
 @pytest.mark.parametrize("step, exact", [(0.05, True), (0.002, False)])
