@@ -541,12 +541,15 @@ def test_one_table_per_map(monkeypatch, contaminated_fixture, paper_array, paper
     assert len(builds) == 2
 
 
+@pytest.mark.parametrize("split", [1, 2])
 def test_table1_map_evaluates_each_below_floor_distance_once(monkeypatch, contaminated_fixture,
-                                                            paper_array, paper_k, default_grid):
+                                                            paper_array, paper_k, default_grid,
+                                                            split):
     # The first call evaluates the table's nodes.  Every later call is a
     # chunk's below-floor distances, and together they hold each below-floor
-    # distance of the 5,151 representative points once; the distance of the
-    # point on an antenna is replaced before the table sees it.
+    # distance of the 5,151 representative points once, at the chunk budget
+    # and at half of it; the distance of the point on an antenna is replaced
+    # before the table sees it.
     orbits = imaging._orbits(default_grid, paper_array)
     table = imaging._hankel_table(orbits, paper_array, paper_k)
     i, j = orbits.representatives()
@@ -562,6 +565,7 @@ def test_table1_map_evaluates_each_below_floor_distance_once(monkeypatch, contam
         return exact(z)
 
     monkeypatch.setattr(specfun, "hankel1_0", counted)
+    monkeypatch.setattr(imaging, "_CHUNK_DISTANCES", imaging._CHUNK_DISTANCES // split)
     imaging.image_diag(imaging.zero_diagonal(contaminated_fixture), default_grid, paper_array,
                        paper_k)
     assert calls[0][0] == table.coef.size == 3440
