@@ -16,7 +16,9 @@ the singular vectors of every matrix, stacked once per g with their rows
 permuted, and writes each value to the |G| points of the orbit.  Each map
 point is written by one chunk, in a fixed order of g, and a chunk holds
 at most _CHUNK_DISTANCES grid-to-antenna distances.  Without a symmetry
-the sweep visits every point.
+the sweep visits every point.  Hankel steering reads H_0^(1)(k d) from
+one specfun.hankel1_0_table per sweep, built over the visited points'
+distance range whatever the grid's size.
 """
 
 import math
@@ -214,16 +216,14 @@ def _hankel_table(orbits, array, k):
 
     Distance to an antenna is convex over the rectangle of the fundamental
     domain's index box, so its largest value is at the farthest corner and
-    its smallest at the antenna clamped into the rectangle.  The size rule
-    sees the representatives' distances.
+    its smallest at the antenna clamped into the rectangle.
     """
     xs, ys = orbits.xs[:orbits.hx], orbits.ys[:orbits.hy]
     low, high = np.array([xs[0], ys[0]]), np.array([xs[-1], ys[-1]])
     pos = array.positions
     far = np.maximum(np.abs(pos - low), np.abs(pos - high))
     near = np.clip(pos, low, high) - pos
-    return specfun.hankel1_0_table(k.k, np.hypot(*near.T).min(), np.hypot(*far.T).max(),
-                                   orbits.count * array.count)
+    return specfun.hankel1_0_table(k.k, np.hypot(*near.T).min(), np.hypot(*far.T).max())
 
 
 # Largest mismatch, relative to the coordinate scale, at which a grid axis or
@@ -278,11 +278,6 @@ class _Orbits:
     hx: int
     hy: int
     swap: bool
-
-    @property
-    def count(self):
-        """Points in the fundamental domain."""
-        return self.hx * (self.hx + 1) // 2 if self.swap else self.hx * self.hy
 
     def representatives(self):
         """Grid indices (i, j) of the fundamental domain, row by row."""

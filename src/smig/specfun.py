@@ -36,10 +36,8 @@ as a 1-element batch and unwrapped):
     reads it chunk by chunk.  Segments are 0.05 rad wide in |k| d,
     degree 7.  Below |k| d = 0.4 the log singularity at d = 0 is too
     close for the table and hankel1_0 is used; at that floor the first
-    segment's centre is 17 half-widths from the singularity.  A table
-    serving fewer than 4 distances per node is not built: its node
-    evaluations would cost more than it saves.  hankel1_0 remains the
-    reference; the table agrees with it to about 1e-13 relative.
+    segment's centre is 17 half-widths from the singularity.  hankel1_0
+    remains the reference; the table agrees with it to about 1e-13 relative.
 """
 
 import math
@@ -347,15 +345,6 @@ _TABLE_DEGREE = 7
 # Below this |k| d the log singularity defeats the table; those distances
 # (a few per mille of an imaging grid) go to hankel1_0.
 _TABLE_FLOOR = 0.4
-# Distances per node below which the table does not pay: each node is one
-# exact evaluation and the build costs ~0.7 ms besides, while a tabulated
-# distance costs a fraction of an exact one.  Against the one-thread,
-# symmetry-reduced imaging sweep (Table-1 scenario, 3,440 nodes, 2-vCPU VM,
-# one BLAS thread) the map breaks even at about 1.5: at 1.07 the table takes
-# 1.16 ms and exact values 0.99 ms, at 1.63 1.27 and 1.32 ms; at 3.4 the
-# table is 2.0 times faster, at the Table-1 grid's 24 5.6 times.  The value
-# stays: another one changes which grids take the table, and so their maps' bits.
-_TABLE_MIN_RATIO = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -363,10 +352,11 @@ class DistanceTable:
     """H_0^(1)(k d) for real distances d: Chebyshev table on [lo, hi], exact values elsewhere.
 
     Built by hankel1_0_table.  coef holds one row per Chebyshev order and
-    one column per segment; a table with no segments sends every distance
-    to hankel1_0.  The distances outside [lo, hi] (below the floor, d = 0,
-    NaN) take their values from one hankel1_0 call per call of the table,
-    so hankel1_0's errors are unchanged.
+    one column per segment; a table with no segments (its range empty,
+    NaN or out of range) sends every distance to hankel1_0.  The distances
+    outside [lo, hi] (below the floor, d = 0, NaN) take their values from
+    one hankel1_0 call per call of the table, so hankel1_0's errors are
+    unchanged.
     """
 
     k: complex
@@ -403,25 +393,21 @@ class DistanceTable:
         return out
 
 
-def hankel1_0_table(k, lo, hi, count):
-    """Table of H_0^(1)(k d) for `count` distances d in [lo, hi], lo raised to the floor.
+def hankel1_0_table(k, lo, hi):
+    """Table of H_0^(1)(k d) for distances d in [lo, hi], lo raised to the floor.
 
     Segments are _TABLE_SEGMENT wide in |k| d, with first-kind Chebyshev
     nodes from one hankel1_0 call and coefficients by a cosine transform.
     The table has no segments (every distance exact) when the range is
-    empty, NaN or past MAX_ARGUMENT, or when count is below
-    _TABLE_MIN_RATIO distances per node: the nodes would cost more than
-    the table saves.
+    empty (hi below the floor), NaN or has |k| hi past MAX_ARGUMENT.
     """
     ak = abs(k)
     lo = max(float(lo), _TABLE_FLOOR / ak)
     hi = float(hi)
     n = _TABLE_DEGREE + 1
-    segments = 0
-    if lo < hi and ak * hi <= MAX_ARGUMENT:  # else empty, NaN or out of range
-        segments = math.ceil(ak * (hi - lo) / _TABLE_SEGMENT)
-    if not segments or count < _TABLE_MIN_RATIO * segments * n:
+    if not (lo < hi and ak * hi <= MAX_ARGUMENT):  # empty, NaN or out of range
         return DistanceTable(k, lo, hi, np.empty((n, 0), dtype=complex))
+    segments = math.ceil(ak * (hi - lo) / _TABLE_SEGMENT)
     angles = np.pi * (np.arange(n) + 0.5) / n
     width = (hi - lo) / segments
     nodes = lo + width * (np.arange(segments)[:, None] + 0.5 * (1.0 + np.cos(angles)))

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from smig import em, forward, imaging, specfun
@@ -489,38 +489,124 @@ def test_map_values_finite_nonnegative_and_zero_on_antennas(
         assert np.all(image.values[on_antenna] == 0.0)
 
 
-def _exact_steering(grid, array, k):
-    """Unit rows of em.incident_field_many without a table, the exact path; zero rows on antennas."""
-    w, coincident = em.incident_field_many(imaging.lattice(grid.x_axis(), grid.y_axis()),
-                                           array.positions, k)
-    w /= np.linalg.norm(w, axis=1, keepdims=True)
-    w[coincident] = 0.0
-    return w
+def _reference_maps(matrices, grid, array, k, policy=RankPolicy(),
+                    steering=imaging.STEERING_HANKEL):
+    """Brute-force (values, rank) of each matrix's map: the reference for imaging.image.
+
+    Exact steering at every grid point in one batch (hankel1_0, or
+    em.plane_wave_many), with no table, no symmetry and no chunks; each map
+    adds its singular pairs one at a time.  Hankel steering is singular on
+    an antenna, so those rows are zero; plane waves are finite there and
+    kept.  The field's constant -i/4 drops out of the map's modulus.
+    """
+    points = imaging.lattice(grid.x_axis(), grid.y_axis())
+    if steering == imaging.STEERING_HANKEL:
+        on = _on_antenna(points, array)
+        dist = np.hypot(*(points[~on, None, :] - array.positions).transpose(2, 0, 1))
+        w = np.zeros((len(points), array.count), dtype=complex)
+        w[~on] = specfun.hankel1_0(k.k * dist)
+    else:
+        w = em.plane_wave_many(points, array, k.k)
+    norm = np.linalg.norm(w, axis=1, keepdims=True)
+    w = w.conj() / np.where(norm > 0.0, norm, 1.0)
+    out = []
+    for s_matrix in matrices:
+        u, tau, vh = np.linalg.svd(s_matrix.entries)
+        if s_matrix.kind == forward.KIND_ZERO_DIAGONAL:
+            rank = 1
+        elif policy.mode == "fixed":
+            rank = policy.fixed_m
+        else:
+            rank = int(np.sum(tau >= policy.threshold * tau[0]))
+        acc = np.zeros(len(points), dtype=complex)
+        for m in range(rank):
+            acc += (w @ u[:, m]) * (w @ vh[m])
+        out.append((np.abs(acc).reshape(grid.shape), rank))
+    return out
 
 
 @pytest.mark.parametrize("grid, lo_kd", [
-    # Surrounds the array, 4 antennas on it: the table starts at the floor.  Its
-    # 8-fold sweep sees 1,326 points, enough for the table's size rule.
+    # Surrounds the array, 4 antennas on it: the table starts at the floor.
     (ImagingGrid(-0.1, 0.1, -0.1, 0.1, 0.002), specfun._TABLE_FLOOR),
     # Off to one side: the nearest antenna, clamped into the rectangle, sets lo.
     (ImagingGrid(0.1, 0.2, -0.2, -0.1, 0.0025), 4.85),
 ], ids=["on_grid_antennas", "offset"])
 def test_map_table_matches_test_vector_projection(contaminated_fixture, paper_array, paper_k,
                                                   grid, lo_kd):
-    # One table per map serves every chunk; each value matches the exact path.
+    # One table per map serves every chunk; each value matches the reference
+    # map to 1e-12 of itself.
     table = imaging._hankel_table(imaging._orbits(grid, paper_array), paper_array, paper_k)
     assert table.coef.shape[1] > 0 and abs(paper_k.k) * table.lo >= lo_kd
-    w = _exact_steering(grid, paper_array, paper_k).conj()
     zero_diag = imaging.zero_diagonal(contaminated_fixture)
-    for image, data, m in (
-        (imaging.image_diag(zero_diag, grid, paper_array, paper_k), zero_diag, 1),
-        (imaging.image_full(contaminated_fixture, grid, paper_array, paper_k,
-                            RankPolicy(mode="fixed", fixed_m=3)), contaminated_fixture, 3),
-    ):
-        d = imaging.svd(data)
-        u, v = d.left_vectors[:, :m], d.right_vectors[:, :m]
-        ref = np.abs(np.sum((w @ u) * (w @ v.conj()), axis=1)).reshape(grid.shape)
+    policy = RankPolicy(mode="fixed", fixed_m=3)
+    refs = _reference_maps([zero_diag, contaminated_fixture], grid, paper_array, paper_k, policy)
+    for image, (ref, m) in zip((
+        imaging.image_diag(zero_diag, grid, paper_array, paper_k),
+        imaging.image_full(contaminated_fixture, grid, paper_array, paper_k, policy),
+    ), refs):
+        assert image.rank_used == m
         assert np.all(np.abs(image.values - ref) <= 1e-12 * ref)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    count=st.integers(min_value=2, max_value=40),
+    step=st.floats(min_value=2e-3, max_value=1e-2),
+    radius_steps=st.integers(min_value=2, max_value=30),
+    half=st.tuples(st.integers(min_value=1, max_value=15), st.integers(min_value=1, max_value=15)),
+    square=st.booleans(),
+    offset=st.one_of(st.just((0.0, 0.0)), st.tuples(st.floats(min_value=-5.0, max_value=5.0),
+                                                    st.floats(min_value=-5.0, max_value=5.0))),
+    rest=st.one_of(st.just(0.0), st.floats(min_value=0.05, max_value=0.95)),
+    steering=st.sampled_from([imaging.STEERING_HANKEL, imaging.STEERING_PLANE_WAVE]),
+    lossless=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+# The 0.005 m grid around the Table-1 ring: 231 swept points, about one
+# distance per table node.
+@example(count=16, step=0.005, radius_steps=18, half=(20, 20), square=True, offset=(0.0, 0.0),
+         rest=0.0, steering=imaging.STEERING_HANKEL, lossless=False, seed=0)
+def test_map_matches_the_reference_map(paper_medium, count, step, radius_steps, half, square,
+                                       offset, rest, steering, lossless, seed):
+    # Grids centred or offset by whole or fractional steps, their upper
+    # bounds a whole number of steps from the lower or `rest` of a step past
+    # it; the ring a whole number of steps in radius, so for count % 4 == 0 a
+    # centred grid that reaches it holds four antennas.  Both kinds image in
+    # one sweep; each map matches the reference to 1e-12 of its maximum.
+    hx, hy = (half[0], half[0]) if square else half
+    ox, oy = offset
+    grid = ImagingGrid((ox - hx) * step, (ox + hx + rest) * step,
+                       (oy - hy) * step, (oy + hy + rest) * step, step)
+    array = em.antenna_array(count, radius_steps * step)
+    k = (em.lossless_wavenumber if lossless else em.wavenumber)(paper_medium)
+    rng = np.random.default_rng(seed)
+    full = _matrix(rng.normal(size=(count, count)) + 1j * rng.normal(size=(count, count)))
+    matrices = [full, imaging.zero_diagonal(full)]
+    maps = imaging.image(matrices, grid, array, k, steering=steering)
+    for image, (ref, rank) in zip(maps, _reference_maps(matrices, grid, array, k,
+                                                        steering=steering)):
+        assert image.rank_used == rank
+        assert np.all(np.abs(image.values - ref) <= 1e-12 * ref.max())
+        assert np.array_equal(image.values == 0.0, ref == 0.0)
+
+
+def test_sweep_below_the_table_floor(paper_k):
+    # A 1 mm ring: every distance of the +-1.5 mm grid lies below the
+    # table's floor, so the table has no segments and every value is exact.
+    array = em.antenna_array(8, 0.001)
+    grid = ImagingGrid(-0.0015, 0.0015, -0.0015, 0.0015, 0.00025)
+    table = imaging._hankel_table(imaging._orbits(grid, array), array, paper_k)
+    assert table.coef.shape[1] == 0
+    rng = np.random.default_rng(11)
+    full = _matrix(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
+    matrices = [full, imaging.zero_diagonal(full)]
+    on_antenna = _on_antenna(imaging.lattice(grid.x_axis(), grid.y_axis()), array)
+    assert np.count_nonzero(on_antenna) == 4
+    for image, (ref, rank) in zip(imaging.image(matrices, grid, array, paper_k),
+                                  _reference_maps(matrices, grid, array, paper_k)):
+        assert image.rank_used == rank
+        assert np.all(np.abs(image.values - ref) <= 1e-12 * ref.max())
+        assert np.array_equal(image.values == 0.0, on_antenna.reshape(grid.shape))
 
 
 def test_one_table_per_map(monkeypatch, contaminated_fixture, paper_array, paper_k):
@@ -533,7 +619,7 @@ def test_one_table_per_map(monkeypatch, contaminated_fixture, paper_array, paper
 
     monkeypatch.setattr(specfun, "hankel1_0_table", counted)
     grid = ImagingGrid(-0.1, 0.1, -0.1, 0.1, 0.001)
-    sweep = imaging._orbits(grid, paper_array).count * paper_array.count
+    sweep = imaging._orbits(grid, paper_array).representatives()[0].size * paper_array.count
     assert sweep > 3 * imaging._CHUNK_DISTANCES  # several chunks
     imaging.image_diag(imaging.zero_diagonal(contaminated_fixture), grid, paper_array, paper_k)
     assert len(builds) == 1
@@ -664,24 +750,6 @@ def test_map_does_not_depend_on_the_chunk_budget(monkeypatch, contaminated_fixtu
     assert np.array_equal(maps[0], maps[1]) and np.array_equal(maps[0], maps[2])
 
 
-@pytest.mark.parametrize("step, exact", [(0.05, True), (0.002, False)])
-def test_map_size_rule_keeps_small_grids_exact(monkeypatch, contaminated_fixture, paper_array,
-                                               paper_k, step, exact):
-    # The size rule sees the sweep's distances, one point per orbit: a grid
-    # under it is bit for bit the map with the table switched off; a grid over
-    # it takes the table.  (The 8-fold sweep of the 0.005 grid, 231 points,
-    # is under it.)
-    grid = ImagingGrid(-0.1, 0.1, -0.1, 0.1, step)
-    data = imaging.zero_diagonal(contaminated_fixture)
-    got = imaging.image_diag(data, grid, paper_array, paper_k).values
-    no_segments = np.empty((specfun._TABLE_DEGREE + 1, 0), dtype=complex)
-    monkeypatch.setattr(specfun, "hankel1_0_table",
-                        lambda k, lo, hi, count: specfun.DistanceTable(k, lo, hi, no_segments))
-    off = imaging.image_diag(data, grid, paper_array, paper_k).values
-    assert np.array_equal(got, off) == exact
-    assert np.all(np.abs(got - off) <= 1e-12 * off.max())
-
-
 def _identity_symmetry(monkeypatch):
     """Forces the sweep over every grid point, the reference for the symmetric sweep."""
     monkeypatch.setattr(imaging, "_symmetries",
@@ -777,7 +845,6 @@ def test_orbit_representatives_cover_the_grid_once(bounds, count, elements):
     orbits = imaging._orbits(grid, em.antenna_array(count, 0.09))
     assert len(orbits.elements) == elements
     i, j = orbits.representatives()
-    assert i.size == orbits.count
     ny = grid.shape[1]
     images = orbits.images(i, j)
     orbit_sets = [set(orbit) for orbit in np.array(images).T.tolist()]

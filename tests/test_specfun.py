@@ -215,31 +215,15 @@ _TABLE_KS = [em.wavenumber(_PAPER_MEDIUM).k, em.lossless_wavenumber(_PAPER_MEDIU
 @pytest.mark.parametrize("k", _TABLE_KS, ids=["lossy", "lossless"])
 def test_distance_table_matches_hankel1_0(k):
     # |k| d from just below the exact floor to 40: both sides of the floor
-    # and of the |z| = 25 switch, with enough distances for the table.
+    # and of the |z| = 25 switch.
     floor = specfun._TABLE_FLOOR
     edges = floor * np.array([1 - 1e-3, 1 - 1e-9, 1 + 1e-9, 1 + 1e-3])
     kd = np.concatenate([edges, np.linspace(floor, 40.0, 40001), [24.999, 25.001]])
     d = kd / abs(k)
-    got = specfun.hankel1_0_table(k, d.min(), d.max(), d.size)(d)
+    got = specfun.hankel1_0_table(k, d.min(), d.max())(d)
     ref = hankel1_0(k * d)
     assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
     assert not np.array_equal(got, ref)  # the tabulated path ran
-
-
-@pytest.mark.parametrize("k", _TABLE_KS, ids=["lossy", "lossless"])
-def test_distance_table_size_rule_boundary(k):
-    # |k| d over [0.5, 2.3]: the segments do not depend on the count, so the
-    # rule's threshold is known; dropping one interior distance keeps the range.
-    needed = (math.ceil(1.8 / specfun._TABLE_SEGMENT) * (specfun._TABLE_DEGREE + 1)
-              * specfun._TABLE_MIN_RATIO)
-    over = np.linspace(0.5, 2.3, needed) / abs(k)
-    under = np.delete(over, needed // 2)
-    got_over = specfun.hankel1_0_table(k, over[0], over[-1], over.size)(over)
-    got_under = specfun.hankel1_0_table(k, under[0], under[-1], under.size)(under)
-    assert np.array_equal(got_under, hankel1_0(k * under))  # exact path
-    assert not np.array_equal(got_over, hankel1_0(k * over))  # table
-    shared = np.delete(got_over, needed // 2)
-    assert np.all(np.abs(shared - got_under) <= 1e-12 * np.abs(got_under))
 
 
 @pytest.mark.parametrize("k", _TABLE_KS, ids=["lossy", "lossless"])
@@ -248,7 +232,7 @@ def test_distance_table_over_explicit_range(k):
     # inside the range it agrees with hankel1_0, outside it (below the floor,
     # past hi) every distance takes hankel1_0 bit for bit.
     lo, hi = 0.3 / abs(k), 30.0 / abs(k)
-    table = specfun.hankel1_0_table(k, lo, hi, 10 ** 6)
+    table = specfun.hankel1_0_table(k, lo, hi)
     assert table.coef.shape[1] > 0 and table.lo == specfun._TABLE_FLOOR / abs(k)
     d = np.linspace(lo, hi, 30001)
     for piece in np.array_split(d, 7):
@@ -265,7 +249,7 @@ def test_distance_table_exact_values(k):
     # at the same order whatever the batch.  So does every distance of a
     # table without segments.
     d = np.linspace(0.5, 30.0, 20001) / abs(k)
-    table = specfun.hankel1_0_table(k, d[0], d[-1], 10 ** 6)
+    table = specfun.hankel1_0_table(k, d[0], d[-1])
     below = np.array([1e-7, 0.05, 0.2, 0.39]) / abs(k)
     alone = np.array([hankel1_0(k * x) for x in below])
     assert np.array_equal(table(below), alone)
@@ -275,12 +259,12 @@ def test_distance_table_exact_values(k):
 
 
 def test_distance_table_keeps_exact_errors():
-    # With segments or without (the size rule), d = 0 and |k d| past
-    # MAX_ARGUMENT lie outside [lo, hi] and raise from hankel1_0.
+    # With segments or without (a range below the floor), d = 0 and |k d|
+    # past MAX_ARGUMENT lie outside [lo, hi] and raise from hankel1_0.
     k = _TABLE_KS[0]
-    d = np.linspace(0.01, 0.2, 5000)
-    for count, segments in ((d.size, False), (10 ** 6, True)):
-        table = specfun.hankel1_0_table(k, d[0], d[-1], count)
+    for d, segments in ((np.linspace(0.01, 0.2, 5000), True),
+                        (np.linspace(0.001, 0.003, 50), False)):
+        table = specfun.hankel1_0_table(k, d[0], d[-1])
         assert (table.coef.shape[1] > 0) == segments
         with pytest.raises(SingularityError):
             table(np.append(d, 0.0))
