@@ -11,13 +11,15 @@ points on the calling thread.  The sweep visits one point of each orbit
 of the symmetries the grid shares with the ring among the flips and
 quarter turns of the square (all 8 on the Table-1 defaults): the steering
 vector at g r is the one at r with its antennas permuted, so each chunk
-builds the steering vectors of its points once and projects them onto
-the singular vectors of every matrix, stacked once per g with their rows
-permuted, and writes each value to the |G| points of the orbit.  Each map
-point is written by one chunk, in a fixed order of g, and a chunk holds
-at most _CHUNK_DISTANCES grid-to-antenna distances.  Without a symmetry
-the sweep visits every point.  Hankel steering reads H_0^(1)(k d) from
-one specfun.hankel1_0_table per sweep, built over the visited points'
+builds the steering vectors of its points once and projects them, in one
+product, onto one stack of every matrix's singular vectors, repeated once
+per g with its rows permuted, and writes each value to the |G| points of
+the orbit.  Each map point is written by one chunk, in a fixed order of
+g.  A chunk holds _CHUNK_DISTANCES // max(N, sum of the ranks) points, at
+least 3, so that its grid-to-antenna distances and its projections per g
+stay within _CHUNK_DISTANCES above that floor.  Without a symmetry the
+sweep visits every point.  Hankel steering reads H_0^(1)(k d) from one
+specfun.hankel1_0_table per sweep, built over the visited points'
 distance range whatever the grid's size.
 """
 
@@ -190,9 +192,11 @@ def _steering_block(points, array, k, steering, table):
     """Unit steering vectors for a block of points, shape (npts, N).
 
     Returns (vectors, excluded) where excluded flags points coinciding
-    with an antenna; those rows carry placeholder values and the map sets
-    them to zero, honoring the grid rule that antenna positions are not
-    search points.  table is the map's H_0^(1) table (Hankel steering).
+    with an antenna under Hankel steering, where H_0^(1) is singular:
+    those rows carry placeholder values and the map is zero there, so
+    antenna positions are not search points.  Plane-wave steering is
+    finite everywhere and excludes no point.  table is the map's H_0^(1)
+    table (Hankel steering).
     """
     if steering == STEERING_HANKEL:
         w, excluded = em.incident_field_many(points, array.positions, k, table=table)
@@ -306,55 +310,36 @@ def _orbits(grid, array):
                    (ys.size + 1) // 2 if flip_y else ys.size, swap)
 
 
-def _column_groups(decomps, ranks, count, perms):
-    """The maps' singular vectors, stacked in groups of at most count columns per row order.
-
-    Returns (first, u, v_conj, bounds) per group: u and v_conj stack the
-    first ranks[i] left and conjugated right vectors of maps first, first
-    + 1, ..., and bounds[j] is the (start, stop) of map first + j's columns.
-    That block repeats once per permutation p of perms, its rows in the
-    order p: block q holds columns q * width + bounds[j], width =
-    u.shape[1] / len(perms).  A group holds one matrix at least, so with
-    count the antenna count a chunk's projections hold no more values per
-    permutation than its steering block.
-    """
-    groups = []
-    width = count  # columns in the last group
-    for i, (decomp, m) in enumerate(zip(decomps, ranks)):
-        if width + m > count:
-            groups.append((i, [], [], []))
-            width = 0
-        _, u, v_conj, bounds = groups[-1]
-        u.append(decomp.left_vectors[:, :m])
-        v_conj.append(decomp.right_vectors[:, :m].conj())
-        bounds.append((width, width + m))
-        width += m
-
-    def stacked(blocks):
-        columns = np.concatenate(blocks, axis=1)
-        return np.concatenate([columns[p] for p in perms], axis=1)
-
-    return [(first, stacked(u), stacked(v_conj), bounds) for first, u, v_conj, bounds in groups]
-
-
 def _projection_maps(decomps, ranks, grid, array, k, steering):
     """values[i] is map i's projection over the flattened grid: one sweep for all maps.
 
-    The sweep visits one point of each orbit of the grid's symmetries
-    (_orbits) and writes its projections onto the permuted singular
-    vectors to every point of the orbit.
+    The maps' first ranks[i] left and conjugated right singular vectors
+    stand side by side in one stack, map i in the columns stops[i] -
+    ranks[i] to stops[i], stops = cumsum(ranks); the stack repeats once
+    per symmetry g of the grid's orbits (_orbits), its rows permuted by g.
+    The sweep visits one point of each orbit, projects a chunk's steering
+    block onto the whole stack in one product, with the rows of points on
+    an antenna zeroed, and writes each map's sum to every point of the
+    orbit.  A chunk holds _CHUNK_DISTANCES // max(N, sum(ranks)) points, so
+    neither its steering block nor its projections per g hold more than
+    _CHUNK_DISTANCES values, unless the floor of 3 points applies.
     """
     orbits = _orbits(grid, array)
-    groups = _column_groups(decomps, ranks, array.count, [g[3] for g in orbits.elements])
+    perms = [g[3] for g in orbits.elements]
+    u = np.concatenate([d.left_vectors[:, :m] for d, m in zip(decomps, ranks)], axis=1)
+    v_conj = np.concatenate([d.right_vectors[:, :m].conj() for d, m in zip(decomps, ranks)],
+                            axis=1)
+    u, v_conj = (np.concatenate([a[p] for p in perms], axis=1) for a in (u, v_conj))
+    stops = np.cumsum(ranks)
     table = _hankel_table(orbits, array, k) if steering == STEERING_HANKEL else None
     rep_i, rep_j = orbits.representatives()
     n = rep_i.size
     vals = np.empty((len(decomps), grid.shape[0] * grid.shape[1]), dtype=float)
-    block = max(1, _CHUNK_DISTANCES // array.count)
+    block = max(3, _CHUNK_DISTANCES // max(array.count, sum(ranks)))
     # A one-point chunk takes BLAS's dot kernel, which rounds differently from
     # the matrix kernels of larger chunks: a last chunk of one point takes one
     # more from the chunk before, so no value depends on where the chunk
-    # boundaries fall.
+    # boundaries fall.  The floor of 3 points leaves both of them 2 or more.
     bounds = list(range(0, n, block)) + [n]
     if len(bounds) > 2 and n - bounds[-2] == 1:
         bounds[-2] -= 1
@@ -363,19 +348,15 @@ def _projection_maps(decomps, ranks, grid, array, k, steering):
         pts = np.stack([orbits.xs[i], orbits.ys[j]], axis=1)
         w, excluded = _steering_block(pts, array, k, steering, table)
         np.conjugate(w, out=w)
+        w[excluded] = 0.0
+        prod = ((w @ u) * (w @ v_conj)).reshape(hi - lo, len(perms), -1)
         # A point on an axis or diagonal is the image of its own
-        # representative under several g; the last g in order wins.
-        images = orbits.images(i, j)
-        for first, u, v_conj, columns in groups:
-            prod = (w @ u) * (w @ v_conj)
-            width = u.shape[1] // len(images)
-            for q, image in enumerate(images):
-                for m, (start, stop) in enumerate(columns, first):
-                    pairs = prod[:, q * width + start:q * width + stop]
-                    vals[m, image] = np.abs(np.sum(pairs, axis=1))
-        if excluded.any():
-            for image in images:
-                vals[:, image[excluded]] = 0.0
+        # representative under several g; the last g in order wins.  Each
+        # map takes its own (pairwise) np.sum: one np.add.reduceat over all
+        # maps adds the terms in sequence and rounds differently.
+        for q, image in enumerate(orbits.images(i, j)):
+            for m, (start, stop) in enumerate(zip(stops - ranks, stops)):
+                vals[m, image] = np.abs(np.sum(prod[:, q, start:stop], axis=1))
     return vals.reshape((len(decomps),) + grid.shape)
 
 
@@ -387,6 +368,8 @@ def image(matrices, grid, array, k, policy=RankPolicy(), steering=STEERING_HANKE
     the values lie in [0, 1].  Every matrix must be N x N for the N-antenna
     array.
     """
+    if not matrices:
+        return []
     for s_matrix in matrices:
         if s_matrix.size != array.count:
             raise DataError("a %d x %d matrix cannot be imaged with %d antennas"

@@ -1,17 +1,20 @@
 import numpy as np
 import pytest
 
-from smig import em, forward, imaging
+from smig import config, em, forward
+
+# The Table-1 scenario, as the config defaults define it.
+TABLE1 = config.RunConfig()
 
 
 @pytest.fixture(scope="session")
 def paper_medium():
-    return em.MediumParams.from_relative(20.0, 0.2, 1.0e9)
+    return config.build_medium(TABLE1)
 
 
 @pytest.fixture(scope="session")
 def paper_array():
-    return em.antenna_array(16, 0.09)
+    return config.build_array(TABLE1)
 
 
 @pytest.fixture(scope="session")
@@ -21,12 +24,14 @@ def paper_k(paper_medium):
 
 @pytest.fixture(scope="session")
 def small_anomaly():
-    return forward.Anomaly.from_relative((0.01, 0.03), 0.010, 55.0, 1.2)
+    [anomaly] = config.build_anomalies(TABLE1)
+    return anomaly
 
 
 @pytest.fixture(scope="session")
 def extended_anomaly():
-    return forward.Anomaly.from_relative((0.01, 0.02), 0.050, 15.0, 0.5)
+    [anomaly] = config.build_anomalies(config.apply_overrides(TABLE1, config.EXTENDED_DISC))
+    return anomaly
 
 
 @pytest.fixture(scope="session")
@@ -41,14 +46,15 @@ def contaminated_fixture(born_fixture):
 
 @pytest.fixture(scope="session")
 def default_grid():
-    return imaging.ImagingGrid(-0.1, 0.1, -0.1, 0.1, 0.001)
+    return config.build_grid(TABLE1)
 
 
 @pytest.fixture(scope="session")
 def coarse_grid():
-    return imaging.ImagingGrid(-0.1, 0.1, -0.1, 0.1, 0.005)
+    return config.build_grid(config.apply_overrides(TABLE1, ["grid.step_m=0.005"]))
 
 
 @pytest.fixture(scope="session")
 def r_star():
-    return np.array([0.01, 0.03])
+    [anomaly] = TABLE1.anomalies
+    return np.array([anomaly.center_x_m, anomaly.center_y_m])

@@ -1,0 +1,22 @@
+"""numpy is the package's one runtime dependency."""
+
+import ast
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "smig"
+
+
+def test_package_imports_only_numpy_and_the_standard_library():
+    outside = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += ["%s: %s" % (path.name, name) for name in names
+                        if name.split(".")[0] not in {"numpy", *sys.stdlib_module_names}]
+    assert outside == []

@@ -661,8 +661,9 @@ def test_table1_map_evaluates_each_below_floor_distance_once(monkeypatch, contam
 
 def test_batched_maps_match_their_one_matrix_maps(monkeypatch, contaminated_fixture,
                                                    paper_array, paper_k, coarse_grid):
-    # Full-rank matrices fill column groups of their own, rank-1 ones share
-    # one; every map matches its own sweep, from one table for the batch.
+    # Full-rank and rank-1 matrices stand side by side in one stack of
+    # singular vectors; every map matches its own sweep, from one table for
+    # the batch.
     zero_diag = imaging.zero_diagonal(contaminated_fixture)
     noisy = [forward.add_noise(zero_diag, 20.0, seed=seed) for seed in range(20)]
     batch = [contaminated_fixture, zero_diag, *noisy, contaminated_fixture]
@@ -685,7 +686,8 @@ def test_image_rejects_a_matrix_of_another_size(born_fixture, coarse_grid, paper
 
 
 def test_sweep_chunks_keep_the_distance_budget(monkeypatch, small_anomaly, paper_medium, paper_k,
-                                               default_grid):
+                                               paper_array, contaminated_fixture, default_grid,
+                                               coarse_grid):
     # The chunk size follows the antenna count: at 64 antennas a chunk of
     # whole grid rows would hold four times the distances of the 16-antenna
     # default.
@@ -711,6 +713,27 @@ def test_sweep_chunks_keep_the_distance_budget(monkeypatch, small_anomaly, paper
     nx, ny = asymmetric.shape
     assert sum(chunks) == nx * ny * array.count
     assert max(chunks) <= imaging._CHUNK_DISTANCES
+    # A batch whose ranks sum past the antenna count (16 + 1 + 20 * 1 = 37)
+    # takes chunks of fewer points, so that its projections per symmetry
+    # stay within the budget too.
+    zero_diag = imaging.zero_diagonal(contaminated_fixture)
+    batch = [contaminated_fixture, zero_diag,
+             *(forward.add_noise(zero_diag, 20.0, seed=seed) for seed in range(20))]
+    single = [imaging.image([s], coarse_grid, paper_array, paper_k)[0] for s in batch]
+    chunks.clear()
+    maps = imaging.image(batch, default_grid, paper_array, paper_k)
+    assert sum(m.rank_used for m in maps) == 37
+    count = paper_array.count
+    assert imaging._CHUNK_DISTANCES // 37 == 695
+    assert sum(chunks) == 5151 * count and max(chunks) <= 695 * count
+    # At a budget of one point's projections the chunks keep their floor:
+    # no chunk of one point, and each map matches its one-matrix map.
+    monkeypatch.setattr(imaging, "_CHUNK_DISTANCES", 37)
+    chunks.clear()
+    maps = imaging.image(batch, coarse_grid, paper_array, paper_k)
+    assert sum(chunks) == 231 * count and min(chunks) >= 2 * count
+    for got, ref in zip(maps, single):
+        assert np.all(np.abs(got.values - ref.values) <= 1e-14)
 
 
 @pytest.mark.parametrize("kind, step", [
