@@ -8,7 +8,7 @@ seeded complex Gaussian noise, and total-minus-incident subtraction.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -41,6 +41,8 @@ GENERATORS = ("born", "exact_disc")
 SNR_DB_LIMIT = 300.0
 
 _DISC_ORDER_CAP = 512
+_DISC_ORDER_MARGIN = 15
+_DISC_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,8 +84,10 @@ class ScatteringMatrix:
 
     def __post_init__(self):
         self.entries = np.asarray(self.entries, dtype=complex)
-        if self.entries.ndim != 2 or self.entries.shape[0] != self.entries.shape[1]:
-            raise ShapeError("scattering matrix must be square, got shape %r" % (self.entries.shape,))
+        if (self.entries.ndim != 2 or self.entries.shape[0] != self.entries.shape[1]
+                or self.entries.size == 0):
+            raise ShapeError("scattering matrix must be square and non-empty, got shape %r"
+                             % (self.entries.shape,))
         if self.kind not in KINDS:
             raise KindError("unknown matrix kind %r" % (self.kind,))
         if self.kind == KIND_ZERO_DIAGONAL and np.any(np.diag(self.entries) != 0):
@@ -149,17 +153,15 @@ def born_smatrix(array, anomalies, medium, denominator=DENOM_SIGMA):
     return ScatteringMatrix(out, KIND_FULL, "born", medium.frequency_hz)
 
 
-def _interior_wavenumber(anomaly, medium):
-    k2 = medium.omega ** 2 * medium.mu_b * complex(
-        anomaly.eps_star, anomaly.sigma_star / medium.omega
-    )
-    return complex(np.sqrt(k2))
+def _derivative(seq):
+    """C'_s = (C_{s-1} - C_{s+1}) / 2 for every order of seq but the last, with C_{-1} = -C_1."""
+    return 0.5 * (np.concatenate(([-seq[1]], seq[:-2])) - seq[1:])
 
 
 # Orders past the double range overflow; the loop turns the first non-finite
 # term into TruncationError, so numpy's warnings would only repeat it.
 @np.errstate(all="ignore")
-def exact_disc_smatrix(array, anomaly, medium, trunc=None, denominator=DENOM_SIGMA):
+def exact_disc_smatrix(array, anomaly, medium, denominator=DENOM_SIGMA):
     """Cylindrical-harmonic solution for a penetrable disc lit by line sources.
 
     The transmission problem (continuity of the field and of its normal
@@ -168,12 +170,13 @@ def exact_disc_smatrix(array, anomaly, medium, trunc=None, denominator=DENOM_SIG
     as the point-target model, so the two generators agree entrywise in
     the small-disc weak-contrast limit.
 
-    The order count starts at ceil(|k| rho) + margin and grows until the
-    remaining tail is below tolerance (relative to the largest entry) or
-    the order cap is hit, which raises with the achieved tail bound.
+    The order count starts at ceil(|k| rho) + _DISC_ORDER_MARGIN and grows
+    by x1.5 + 8 until the last term is below _DISC_TOL relative to the
+    largest entry; past _DISC_ORDER_CAP orders it raises TruncationError
+    with the achieved tail bound.
     """
     k = em.wavenumber(medium).k
-    k_in = _interior_wavenumber(anomaly, medium)
+    k_in = em.wavenumber(replace(medium, eps_b=anomaly.eps_star, sigma_b=anomaly.sigma_star)).k
     rho = anomaly.radius
     rel, b = _antenna_distances(array, anomaly)
     alpha = np.arctan2(rel[:, 1], rel[:, 0])
@@ -183,36 +186,27 @@ def exact_disc_smatrix(array, anomaly, medium, trunc=None, denominator=DENOM_SIG
         zeros = np.zeros((array.count, array.count), dtype=complex)
         return ScatteringMatrix(zeros, KIND_FULL, "exact_disc", medium.frequency_hz)
 
-    margin = trunc.max_order if trunc is not None else 15
-    tol = trunc.abs_tol if trunc is not None else 1e-10
-    n_try = int(math.ceil(abs(k) * rho)) + margin
-
     gamma = contrast_parameter(anomaly, medium, denominator)
     scale = -(1j * k * k / (4.0 * medium.omega * medium.mu_b)) * gamma / (k_in * k_in - k * k)
 
-    n_ant = array.count
     dalpha = alpha[:, None] - alpha[None, :]
+    n_try = int(math.ceil(abs(k) * rho)) + _DISC_ORDER_MARGIN
     while True:
         j_out = _j_sequence(k * rho, n_try + 1)
         j_in = _j_sequence(k_in * rho, n_try + 1)
         h_out = hankel1_sequence(k * rho, n_try + 1)
         h_ant = hankel1_sequence(k * b, n_try)
+        jp_out, jp_in, hp_out = _derivative(j_out), _derivative(j_in), _derivative(h_out)
 
-        acc = np.zeros((n_ant, n_ant), dtype=complex)
+        acc = np.zeros((array.count, array.count), dtype=complex)
         tail = math.inf
-        converged_at = None
-        for s in range(0, n_try + 1):
-            jp_out = -j_out[1] if s == 0 else 0.5 * (j_out[s - 1] - j_out[s + 1])
-            jp_in = -j_in[1] if s == 0 else 0.5 * (j_in[s - 1] - j_in[s + 1])
-            hp_out = -h_out[1] if s == 0 else 0.5 * (h_out[s - 1] - h_out[s + 1])
-            num = k_in * jp_in * j_out[s] - k * j_in[s] * jp_out
-            den = k * j_in[s] * hp_out - k_in * jp_in * h_out[s]
+        for s in range(n_try + 1):
+            # Scalar arithmetic, one order at a time: numpy's vector complex
+            # products round differently.
+            num = k_in * jp_in[s] * j_out[s] - k * j_in[s] * jp_out[s]
+            den = k * j_in[s] * hp_out[s] - k_in * jp_in[s] * h_out[s]
             coeff = num / den
-            hh = np.outer(h_ant[s], h_ant[s])
-            if s == 0:
-                term = coeff * hh
-            else:
-                term = coeff * hh * (2.0 * np.cos(s * dalpha))
+            term = coeff * np.outer(h_ant[s], h_ant[s]) * ((2.0 if s else 1.0) * np.cos(s * dalpha))
             if not np.all(np.isfinite(term)):
                 # Interior J underflow against exterior H overflow: the
                 # geometry needs more orders than doubles can carry.
@@ -223,20 +217,15 @@ def exact_disc_smatrix(array, anomaly, medium, trunc=None, denominator=DENOM_SIG
             acc += term
             tail = float(np.abs(term).max())
             ref = float(np.abs(acc).max())
-            if s > abs(k) * rho and tail <= tol * max(ref, 1e-300):
-                converged_at = s
-                break
-        if converged_at is not None:
-            break
+            if s > abs(k) * rho and tail <= _DISC_TOL * max(ref, 1e-300):
+                return ScatteringMatrix(scale * (-0.25j) * acc, KIND_FULL, "exact_disc",
+                                        medium.frequency_hz)
         if n_try >= _DISC_ORDER_CAP:
             raise TruncationError(
                 "disc series not converged by order %d; achieved tail bound %.3e"
                 % (n_try, tail)
             )
         n_try = min(_DISC_ORDER_CAP, int(n_try * 1.5) + 8)
-
-    entries = scale * (-0.25j) * acc
-    return ScatteringMatrix(entries, KIND_FULL, "exact_disc", medium.frequency_hz)
 
 
 def _rng(seed):
@@ -271,7 +260,7 @@ def contaminate_diagonal(s_matrix, amplitude_rel, mode="random", seed=0):
         raise ConfigError("unknown contamination mode %r" % (mode,))
     entries = s_matrix.entries.copy()
     entries[np.diag_indices(n)] += c
-    return ScatteringMatrix(entries, KIND_FULL, s_matrix.provenance, s_matrix.frequency_hz)
+    return replace(s_matrix, entries=entries)
 
 
 def add_noise(s_matrix, snr_db, seed=0):
@@ -285,9 +274,7 @@ def add_noise(s_matrix, snr_db, seed=0):
     zero-diagonal matrix stay exactly zero.
     """
     if snr_db == math.inf:
-        return ScatteringMatrix(
-            s_matrix.entries.copy(), s_matrix.kind, s_matrix.provenance, s_matrix.frequency_hz
-        )
+        return replace(s_matrix, entries=s_matrix.entries.copy())
     if not -SNR_DB_LIMIT <= snr_db <= SNR_DB_LIMIT:
         raise ConfigError("snr_db must be +inf or lie in [-%g, %g], got %r"
                           % (SNR_DB_LIMIT, SNR_DB_LIMIT, snr_db))
@@ -301,11 +288,12 @@ def add_noise(s_matrix, snr_db, seed=0):
     if not signal_power < math.inf:
         raise DataError("signal power is not finite; no noise level can be set against it")
     noise_power = float(np.sum(np.abs(noise) ** 2))
+    if noise_power == 0:
+        raise DataError("a %d x %d %s matrix has no entry that can carry noise"
+                        % (n, n, s_matrix.kind))
     target = signal_power / (10.0 ** (snr_db / 10.0))
     noise *= math.sqrt(target / noise_power)
-    return ScatteringMatrix(
-        s_matrix.entries + noise, s_matrix.kind, s_matrix.provenance, s_matrix.frequency_hz
-    )
+    return replace(s_matrix, entries=s_matrix.entries + noise)
 
 
 def subtract(s_tot, s_inc):

@@ -24,13 +24,13 @@ distance range whatever the grid's size.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import em, specfun
 from .errors import ConfigError, DataError, KindError, RankError
-from .forward import KIND_FULL, KIND_ZERO_DIAGONAL, ScatteringMatrix
+from .forward import KIND_FULL, KIND_ZERO_DIAGONAL
 
 STEERING_HANKEL = "hankel"
 STEERING_PLANE_WAVE = "plane_wave"
@@ -158,7 +158,7 @@ def zero_diagonal(s_matrix):
     """Drop the self-measurement entries; idempotent."""
     entries = s_matrix.entries.copy()
     np.fill_diagonal(entries, 0.0)
-    return ScatteringMatrix(entries, KIND_ZERO_DIAGONAL, s_matrix.provenance, s_matrix.frequency_hz)
+    return replace(s_matrix, entries=entries, kind=KIND_ZERO_DIAGONAL)
 
 
 def svd(s_matrix):

@@ -15,7 +15,7 @@ from smig.errors import (
     ShapeError,
     TruncationError,
 )
-from smig.specfun import SeriesTruncation, hankel1_0
+from smig.specfun import hankel1_0
 
 from oracle_values import S12_BORN
 
@@ -66,6 +66,13 @@ def test_antenna_inside_disc_rejected(paper_array, paper_medium, center, radius,
 def test_noise_snr_outside_range_rejected(born_fixture, snr_db):
     with pytest.raises(ConfigError):
         forward.add_noise(born_fixture, snr_db, seed=1)
+
+
+def test_noise_without_a_noisy_entry_is_typed():
+    # A 1 x 1 zero-diagonal matrix has no entry that can carry noise.
+    lone = forward.ScatteringMatrix(np.zeros((1, 1)), forward.KIND_ZERO_DIAGONAL, "t", 1e9)
+    with pytest.raises(DataError):
+        forward.add_noise(lone, 10.0)
 
 
 def test_noise_signal_power_overflow_is_typed(born_fixture):
@@ -173,13 +180,17 @@ def test_exact_disc_antenna_inside(paper_array, paper_medium):
         forward.exact_disc_smatrix(paper_array, huge, paper_medium)
 
 
-def test_exact_disc_honors_explicit_truncation(paper_array, extended_anomaly, paper_medium):
-    s1 = forward.exact_disc_smatrix(paper_array, extended_anomaly, paper_medium)
-    s2 = forward.exact_disc_smatrix(
-        paper_array, extended_anomaly, paper_medium, trunc=SeriesTruncation(64, 1e-12)
-    )
-    rel = np.abs(s1.entries - s2.entries).max() / np.abs(s2.entries).max()
-    assert rel <= 1e-8
+def test_exact_disc_honors_explicit_truncation(paper_array, paper_medium, monkeypatch):
+    # The extended disc, and one 0.01 m further out that takes three passes.
+    discs = [forward.Anomaly.from_relative(center, 0.05, 15.0, 0.5)
+             for center in ((0.01, 0.02), (0.01, 0.03))]
+    s1 = [forward.exact_disc_smatrix(paper_array, disc, paper_medium) for disc in discs]
+    monkeypatch.setattr(forward, "_DISC_ORDER_MARGIN", 64)
+    monkeypatch.setattr(forward, "_DISC_TOL", 1e-12)
+    for disc, s in zip(discs, s1):
+        s2 = forward.exact_disc_smatrix(paper_array, disc, paper_medium)
+        rel = np.abs(s.entries - s2.entries).max() / np.abs(s2.entries).max()
+        assert rel <= 1e-8
 
 
 def test_contaminate_zero_amplitude(born_fixture):
@@ -313,6 +324,11 @@ def test_anomaly_invariants():
 def test_anomaly_rejects_non_finite(center, radius, eps, sigma):
     with pytest.raises(ConfigError):
         forward.Anomaly(np.array(center), radius, eps, sigma)
+
+
+def test_empty_matrix_rejected():
+    with pytest.raises(ShapeError):
+        forward.ScatteringMatrix(np.zeros((0, 0)), forward.KIND_FULL, "t", 1e9)
 
 
 def test_zero_diagonal_kind_enforced():

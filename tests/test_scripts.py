@@ -2,7 +2,8 @@
 
 Each script runs as its own process, writing into a temporary directory;
 the expected text is the scripts' recorded output, with run_localization's
-elapsed seconds and every script's output directory masked.
+elapsed seconds and every script's output directory masked.  The oracle
+script must still print every constant that tests/oracle_values.py copies.
 """
 
 import os
@@ -13,6 +14,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import oracle_values as ov
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -45,6 +48,16 @@ snr_db  mean_offset_m  max_offset_m  mean_peak
 }
 
 
+# Each `label = value` line of gen_oracle_values.py and the constant that copies it.
+ORACLE = {
+    "J0 zero 1": ov.J0_ZEROS[0], "J0 zero 2": ov.J0_ZEROS[1], "J0 zero 3": ov.J0_ZEROS[2],
+    "Y0(1.0)": ov.Y0_AT_1, "J0(1.0)": ov.J0_AT_1, "H0_1(10)": ov.H0_AT_10, "J0(8.0)": ov.J0_AT_8,
+    "x_half": ov.XHALF_J0SQ, "k": ov.K_PAPER, "2pi/Re k": ov.LAMBDA_PAPER,
+    "k lossless": ov.K_LOSSLESS, "lambda ll": ov.LAMBDA_LOSSLESS, "S(1,2)": ov.S12_BORN,
+    "psi spot": ov.PSI_SPOT, "small scn": ov.SMALLNESS_SMALL, "ext scn": ov.SMALLNESS_EXTENDED,
+}
+
+
 def _run(script, cwd, *args):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     return subprocess.run([sys.executable, str(script), *args], cwd=cwd, env=env,
@@ -66,3 +79,11 @@ def test_calibration_record_regenerates(tmp_path):
     _run(script, tmp_path)
     committed = (ROOT / "scripts" / "calibration_record.txt").read_bytes()
     assert (tmp_path / "calibration_record.txt").read_bytes() == committed
+
+
+def test_oracle_values_regenerate(tmp_path):
+    stdout = _run(ROOT / "scripts" / "gen_oracle_values.py", tmp_path)
+    printed = dict(line.split("=", 1) for line in stdout.splitlines()
+                   if "=" in line and not line.startswith("#"))
+    printed = {label.strip(): complex(value.replace(" ", "")) for label, value in printed.items()}
+    assert printed == ORACLE
