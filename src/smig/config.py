@@ -1,6 +1,7 @@
 """Flat key-value run configuration with Table-1 small-anomaly defaults.
 
-The on-disk format is dotted keys, one per line, '#' comments:
+The on-disk format is one '<block>.<field> = value' per line, with '#'
+comments; a block is a section name or anomaly.<i>, i = 1, 2, ...:
 
     medium.frequency_hz = 1.0e9
     anomaly.1.center_x_m = 0.01
@@ -17,6 +18,7 @@ that use them, when a run synthesizes.
 
 import hashlib
 import math
+import re
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -132,65 +134,53 @@ _CODECS = {
 
 
 def _codecs(cls):
-    return {f.name: f.metadata.get("codec") or _CODECS[f.type] for f in fields(cls)}
+    """{field name: (parse, serialize)} of a config block class, sorted by name."""
+    return {f.name: f.metadata.get("codec") or _CODECS[f.type]
+            for f in sorted(fields(cls), key=lambda f: f.name)}
 
 
 _SECTIONS = {"medium": MediumConfig, "array": ArrayConfig, "grid": GridConfig,
              "imaging": ImagingConfig, "synthesis": SynthesisConfig, "output": OutputConfig}
-# key -> (section attr, field name, parse, serialize)
-_SCHEMA = {"%s.%s" % (section, name): (section, name) + codec
-           for section, cls in _SECTIONS.items() for name, codec in _codecs(cls).items()}
-_ANOMALY_FIELDS = _codecs(AnomalyConfig)
+_FIELDS = {cls: _codecs(cls) for cls in (*_SECTIONS.values(), AnomalyConfig)}
+_ANOMALY_BLOCK = re.compile(r"anomaly\.([1-9][0-9]*)")
 
 
-def _split_lines(text):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError("line %d: expected key = value, got %r" % (lineno, raw.strip()))
-        key, value = line.split("=", 1)
-        yield key.strip(), value.strip()
+def _blocks(cfg):
+    """(name, block) pairs: the sections by name, then anomaly.1, anomaly.2, ..."""
+    return ([(name, getattr(cfg, name)) for name in sorted(_SECTIONS)]
+            + [("anomaly.%d" % i, a) for i, a in enumerate(cfg.anomalies, start=1)])
+
+
+def _pair(text, where):
+    """(key, value) of one 'key = value', both stripped."""
+    if "=" not in text:
+        raise ConfigError("%s: expected key = value, got %r" % (where, text.strip()))
+    key, value = text.split("=", 1)
+    return key.strip(), value.strip()
 
 
 def _apply_pairs(cfg, pairs):
-    sections = {name: dict(vars(getattr(cfg, name))) for name in _SECTIONS}
-    anomalies = {i + 1: dict(vars(a)) for i, a in enumerate(cfg.anomalies)}
+    """cfg with every (<block>.<field>, text) pair parsed into its block, then checked."""
+    blocks = {name: dict(vars(block)) for name, block in _blocks(cfg)}
     seen = set()
     for key, text in pairs:
         if key in seen:
             raise ConfigError("duplicate key %s" % key)
         seen.add(key)
-        if key.startswith("anomaly."):
-            parts = key.split(".")
-            if len(parts) != 3 or parts[2] not in _ANOMALY_FIELDS:
-                raise ConfigError("unknown key %s" % key)
-            try:
-                index = int(parts[1])
-            except ValueError:
-                raise ConfigError("unknown key %s" % key) from None
-            if index < 1:
-                raise ConfigError("anomaly indices start at 1, got %s" % key)
-            parse, _ = _ANOMALY_FIELDS[parts[2]]
-            block = anomalies.setdefault(index, dict(vars(AnomalyConfig())))
-            try:
-                block[parts[2]] = parse(text)
-            except ValueError as exc:
-                raise ConfigError("%s: %s" % (key, exc)) from None
-            continue
-        if key not in _SCHEMA:
+        name, _, field_name = key.rpartition(".")
+        cls = _SECTIONS.get(name) or (AnomalyConfig if _ANOMALY_BLOCK.fullmatch(name) else None)
+        codec = _FIELDS.get(cls, {}).get(field_name)
+        if codec is None:
             raise ConfigError("unknown key %s" % key)
-        section, name, parse, _ = _SCHEMA[key]
         try:
-            sections[section][name] = parse(text)
+            blocks.setdefault(name, dict(vars(cls())))[field_name] = codec[0](text)
         except ValueError as exc:
             raise ConfigError("%s: %s" % (key, exc)) from None
-    indices = sorted(anomalies)
+    indices = sorted(int(m.group(1)) for m in map(_ANOMALY_BLOCK.fullmatch, blocks) if m)
     if indices != list(range(1, len(indices) + 1)):
         raise ConfigError("anomaly indices must be contiguous from 1, got %s" % indices)
-    cfg = RunConfig(anomalies=tuple(AnomalyConfig(**anomalies[i]) for i in indices),
-                    **{name: cls(**sections[name]) for name, cls in _SECTIONS.items()})
+    cfg = RunConfig(anomalies=tuple(AnomalyConfig(**blocks["anomaly.%d" % i]) for i in indices),
+                    **{name: cls(**blocks[name]) for name, cls in _SECTIONS.items()})
     # Each constructor holds its own range rules; building everything once
     # rejects a bad value now, with that constructor's typed error, named by
     # the block it came from.
@@ -213,31 +203,21 @@ def _named(prefix, build, arg):
 
 def parse_config(text):
     """Parse a key-value document; unset keys fall back to defaults."""
-    return _apply_pairs(RunConfig(), _split_lines(text))
+    return _apply_pairs(RunConfig(), (
+        _pair(line, "line %d" % lineno) for lineno, raw in enumerate(text.splitlines(), start=1)
+        if (line := raw.split("#", 1)[0].strip())))
 
 
 def apply_overrides(cfg, overrides):
-    """Apply repeatable key=value override strings on top of a config."""
-    pairs = []
-    for item in overrides:
-        if "=" not in item:
-            raise ConfigError("override must be key=value, got %r" % (item,))
-        key, value = item.split("=", 1)
-        pairs.append((key.strip(), value.strip()))
-    return _apply_pairs(cfg, pairs)
+    """Apply repeatable key=value override strings on top of a config ('#' is no comment)."""
+    return _apply_pairs(cfg, [_pair(item, "override") for item in overrides])
 
 
 def serialize_config(cfg):
     """Canonical full-precision text form; inverse of parse_config."""
-    lines = []
-    for key in sorted(_SCHEMA):
-        section, name, _, fmt = _SCHEMA[key]
-        lines.append("%s = %s" % (key, fmt(getattr(getattr(cfg, section), name))))
-    for i, a in enumerate(cfg.anomalies, start=1):
-        for name in sorted(_ANOMALY_FIELDS):
-            _, fmt = _ANOMALY_FIELDS[name]
-            lines.append("anomaly.%d.%s = %s" % (i, name, fmt(getattr(a, name))))
-    return "\n".join(lines) + "\n"
+    return "".join("%s.%s = %s\n" % (name, field_name, fmt(getattr(block, field_name)))
+                   for name, block in _blocks(cfg)
+                   for field_name, (_, fmt) in _FIELDS[type(block)].items())
 
 
 def config_hash(cfg):

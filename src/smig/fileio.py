@@ -61,6 +61,9 @@ def write_sparams(s_matrix, path, meta=None):
     """Write an N x N matrix as the v1 CSV format; like the reader, finite values only."""
     if not np.all(np.isfinite(s_matrix.entries)):
         raise DataError("%s: refusing to write non-finite entries" % path)
+    if not math.isfinite(s_matrix.frequency_hz):
+        raise DataError("%s: refusing to write non-finite frequency %r"
+                        % (path, s_matrix.frequency_hz))
     n = s_matrix.size
     # One % format per matrix row: the tails ",n,%r,%r\n" are built once, a
     # row's template is m + m.join(tails), and its floats, interleaved re, im
@@ -134,6 +137,8 @@ def read_sparams(path):
         f_hz = float(match.group(2))
     except ValueError:
         raise DataError("%s: malformed header %r" % (path, lines[0])) from None
+    if not math.isfinite(f_hz):
+        raise DataError("%s: non-finite frequency in header %r" % (path, lines[0]))
     if not n:
         raise DataError("%s: header says N=0" % path)
     if n * n >= len(lines):  # checked before the N x N allocation

@@ -210,10 +210,10 @@ def exact_disc_smatrix(array, anomaly, medium, denominator=DENOM_SIGMA):
             if not np.all(np.isfinite(term)):
                 # Interior J underflow against exterior H overflow: the
                 # geometry needs more orders than doubles can carry.
+                reached = ("achieved tail bound %.3e" % tail if acc.any()
+                           else "no earlier term was nonzero, so no tail bound was reached")
                 raise TruncationError(
-                    "disc series lost precision at order %d before converging; "
-                    "achieved tail bound %.3e" % (s, tail)
-                )
+                    "disc series lost precision at order %d before converging; %s" % (s, reached))
             acc += term
             tail = float(np.abs(term).max())
             ref = float(np.abs(acc).max())

@@ -1,13 +1,17 @@
 """Closed-form structure of the imaging maps and its validation harness.
 
-For a circular array the projection maps reduce, through the plane-wave
-expansion into integer-order Bessel harmonics, to explicit series:
+For a circular array and ideal plane-wave data of a point r*, the
+plane-wave expansion into integer-order Bessel harmonics reduces two maps
+to explicit series:
 
-  full matrix      |(J_0(k|r-r*|) + Psi1_avg)^2|
-  zero diagonal    N/(N-1) |(J_0(k|r-r*|) + Psi1_avg)^2
+  structure_full   |(J_0(k|r-r*|) + Psi1_avg)^2|
+  structure_diag   N/(N-1) |(J_0(k|r-r*|) + Psi1_avg)^2
                             - (1/N)(J_0(2k|r-r*|) + Psi1_avg(2k))|
 
 where Psi1_avg averages the two-sided harmonic series over the antennas.
+structure_full is the first-singular-pair map of either matrix kind, full
+or zero-diagonal.  structure_diag is not a projection map: it is the
+migration response of the zero-diagonal data divided by its tau_1.
 The antennas are equally spaced (em.AntennaArray derives its angles), so
 the ring mean of cos(s(theta_n - phi)), a sum of N unit phasors, vanishes
 unless N divides s.  Psi1_avg keeps every N-th order, and is 0 if N > S:
@@ -30,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import em, specfun
+from .errors import DomainError
 from .forward import KIND_FULL, KIND_ZERO_DIAGONAL, ScatteringMatrix
 from .specfun import SeriesTruncation
 
@@ -60,6 +65,8 @@ def _ring_average(k_real, array, r, r_center, trunc):
 
 
 def _check_margin(r, array, k_real, r_star):
+    if not 0 < k_real < math.inf:
+        raise DomainError("structure series need a wavenumber 0 < k < inf, got %r" % (k_real,))
     margin = 10.0 * 0.25 / k_real
     points = np.concatenate([r.reshape(-1, 2), r_star.reshape(1, 2)])
     gap = points - array.positions[array.nearest(points)]
@@ -76,7 +83,7 @@ def _unwrap(values):
 
 
 def structure_full(r, array, k_real, r_star, config=StructureConfig()):
-    """Closed-form value of the full-matrix map.
+    """Closed-form first-pair map of ideal data, of either matrix kind.
 
     r is one point (2,), giving a float, or a batch (P, 2), giving (P,).
     """
@@ -88,8 +95,9 @@ def structure_full(r, array, k_real, r_star, config=StructureConfig()):
 
 
 def structure_diag(r, array, k_real, r_star, config=StructureConfig()):
-    """Closed-form value of the diagonal-free map.
+    """Closed-form migration_response / tau_1 of ideal zero-diagonal data.
 
+    This is not the first-pair map of that data, which is structure_full.
     r is one point (2,), giving a float, or a batch (P, 2), giving (P,).
     """
     r = np.asarray(r, float)
@@ -119,8 +127,8 @@ def migration_response(s_matrix, array, k_real, points):
 
     This is the bilinear form the far-field derivation actually bounds:
     the data matrix sandwiched between steering vectors, singular pairs
-    weighted by their singular values.  On ideal plane-wave data it equals
-    tau_1 times the closed-form diagonal-free series.
+    weighted by their singular values.  On ideal zero-diagonal plane-wave
+    data it equals tau_1 times structure_diag.
     """
     w = em.plane_wave_many(np.asarray(points, dtype=float), array, k_real).conj()
     w /= math.sqrt(array.count)
@@ -129,13 +137,13 @@ def migration_response(s_matrix, array, k_real, points):
 
 def _diag_identity(points, array, k_real, r_star, trunc):
     """validate_diag_identity's deviation over (P, 2) points, and the series it compared."""
+    with warnings.catch_warnings():  # the series checks k_real first
+        warnings.simplefilter("ignore", ValidityMarginWarning)
+        series = structure_diag(points, array, k_real, r_star, StructureConfig(trunc=trunc))
     n = array.count
     e = np.exp(1j * k_real * ((points - r_star) @ array.directions.T))
     total = np.sum(e, axis=1) ** 2 - np.sum(e * e, axis=1)
     direct = np.abs(total / n) / (n - 1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ValidityMarginWarning)
-        series = structure_diag(points, array, k_real, r_star, StructureConfig(trunc=trunc))
     return float(np.max(np.abs(direct - series), initial=0.0)), series
 
 

@@ -260,7 +260,8 @@ def test_validate_huge_frequency_is_one_line_error(capsys):
     assert _one_line_error(capsys.readouterr().err)
 
 
-_KEYS = sorted(cfgmod._SCHEMA) + ["anomaly.1." + name for name in sorted(cfgmod._ANOMALY_FIELDS)]
+_KEYS = [line.split(" = ")[0]
+         for line in cfgmod.serialize_config(cfgmod.RunConfig()).splitlines()]
 _VALUES = ["nan", "inf", "-inf", "0", "-1", "1e300", "-1e300", "", "bogus", "1,5"]
 
 

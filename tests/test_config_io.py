@@ -110,6 +110,17 @@ def test_anomaly_index_gap_rejected():
         cfgmod.parse_config("anomaly.3.radius_m = 0.01\n")
 
 
+@pytest.mark.parametrize("key", ["anomaly.01.radius_m", "anomaly.+1.radius_m",
+                                 "anomaly.1_0.radius_m", "anomaly. 1.radius_m",
+                                 "anomaly.0.radius_m"])
+def test_anomaly_key_has_one_spelling(key):
+    # Not an alias of anomaly.1.radius_m, alone or beside it.
+    with pytest.raises(ConfigError):
+        cfgmod.apply_overrides(cfgmod.RunConfig(), [key + "=0.005"])
+    with pytest.raises(ConfigError):
+        cfgmod.parse_config("anomaly.1.radius_m = 0.01\n%s = 0.005\n" % key)
+
+
 def test_array_round_trip():
     cfg = cfgmod.parse_config("array.count = 16\narray.radius_m = 0.09\n")
     again = cfgmod.parse_config(cfgmod.serialize_config(cfg))
@@ -135,6 +146,12 @@ def test_config_hash_tracks_content():
     other = cfgmod.apply_overrides(base, ["array.count=8"])
     assert cfgmod.config_hash(base) == cfgmod.config_hash(cfgmod.RunConfig())
     assert cfgmod.config_hash(base) != cfgmod.config_hash(other)
+    # The hash goes into every sidecar: the canonical text must not drift.
+    assert cfgmod.config_hash(base) == (
+        "1b89db751354bdf1429a522a492ef9dd74511fda7d6f9de3d24d6bc5262ff7c4")
+    two = cfgmod.apply_overrides(base, ["anomaly.2.center_x_m=-0.03", "anomaly.2.radius_m=0.004"])
+    assert cfgmod.config_hash(two) == (
+        "ff53d1aabcbd1f59455a11cc8a8e40ca01443f278e2c7a239ff499e8eda798dd")
 
 
 _cfg_strategy = st.builds(
@@ -251,6 +268,8 @@ def test_sparams_first_fault_is_reported(tmp_path):
     b"# smig-sparams v1, N=99999999, f_hz=1.0\nm,n,re,im\n1,1,0.0,0.0\n",
     b"# smig-sparams v1, N=1, f_hz=1.0\nm,n,re,im\n1,1,0.0,\xff\xfe\n",
     b"# smig-sparams v1, N=0, f_hz=1.0\nm,n,re,im\n",
+    b"# smig-sparams v1, N=1, f_hz=nan\nm,n,re,im\n1,1,0.0,0.0\n",
+    b"# smig-sparams v1, N=1, f_hz=inf\nm,n,re,im\n1,1,0.0,0.0\n",
 ])
 def test_sparams_bad_header_or_bytes_is_data_error(tmp_path, content):
     path = tmp_path / "s.csv"
@@ -266,6 +285,11 @@ def test_sparams_writer_refuses_non_finite(tmp_path, born_fixture):
     with pytest.raises(DataError):
         fileio.write_sparams(bad, tmp_path / "s.csv")
     assert not (tmp_path / "s.csv").exists()
+    for f_hz in (math.nan, math.inf):
+        bad = forward.ScatteringMatrix(born_fixture.entries, forward.KIND_FULL, "t", f_hz)
+        with pytest.raises(DataError, match="frequency"):
+            fileio.write_sparams(bad, tmp_path / "s.csv")
+        assert not (tmp_path / "s.csv").exists()
 
 
 def test_sparams_header_required(tmp_path):

@@ -96,9 +96,11 @@ def test_negative_seed_rejected(born_fixture):
 
 def test_exact_disc_tiny_radius_is_truncation_error(paper_array, paper_medium):
     # H_s(k rho) overflows within the first orders; the series reports it.
-    tiny = forward.Anomaly.from_relative((0.01, 0.03), 1e-300, 55.0, 1.2)
-    with pytest.raises(TruncationError):
-        forward.exact_disc_smatrix(paper_array, tiny, paper_medium)
+    # Every term before the overflow underflowed to 0: no tail bound is claimed.
+    for radius in (1e-300, 1e-200):
+        tiny = forward.Anomaly.from_relative((0.01, 0.03), radius, 55.0, 1.2)
+        with pytest.raises(TruncationError, match="no earlier term was nonzero"):
+            forward.exact_disc_smatrix(paper_array, tiny, paper_medium)
 
 
 def test_born_contrast_doubling_exact(paper_array):

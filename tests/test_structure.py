@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smig import em, forward, imaging, specfun, structure
+from smig.errors import DomainError
 from smig.specfun import SeriesTruncation, bessel_j
 from smig.structure import StructureConfig, ValidityMarginWarning
 
@@ -65,6 +66,15 @@ def test_structure_diag_spot_against_double_sum(paper_array, k_real, r_star):
         [r_star + np.array([0.01, 0.0])], paper_array, k_real, r_star
     )
     assert dev <= 1e-8
+
+
+@pytest.mark.parametrize("bad_k", [0.0, -93.7, math.nan, math.inf])
+@pytest.mark.parametrize("entry", [structure.structure_full, structure.structure_diag,
+                                   structure.validate, structure.validate_diag_identity])
+def test_structure_entry_points_need_a_positive_finite_wavenumber(paper_array, r_star,
+                                                                   entry, bad_k):
+    with pytest.raises(DomainError, match="0 < k < inf"):
+        entry(np.array([[0.0, 0.0]]), paper_array, bad_k, r_star)
 
 
 def test_ideal_matrix_at_origin(paper_array, k_real):
