@@ -8,6 +8,7 @@ reproduced bit-exactly; an existing output file is replaced, not truncated.
 image and spectrum read S_scat in the config's imaging.matrix_kind (the
 diagonal is dropped for zero_diagonal) and leave the rank to
 imaging.select_rank: spectrum's rank_selected is the rank_used of image.
+Measured files (--stot, --sinc) must be at the config's medium.frequency_hz.
 """
 
 import argparse
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import config as cfgmod
 from . import em, fileio, forward, imaging, structure
-from .errors import ConfigError, SmigError
+from .errors import ConfigError, DataError, SmigError
 from .specfun import covering_truncation
 
 
@@ -52,6 +53,9 @@ def _scattered_matrix(cfg, args):
         s_tot = fileio.read_sparams(args.stot)
         s_inc = fileio.read_sparams(args.sinc)
         scat = forward.subtract(s_tot, s_inc)
+        if scat.frequency_hz != cfg.medium.frequency_hz:  # both round-trip exactly
+            raise DataError("%s and %s are at %r Hz, the config's medium.frequency_hz at %r Hz"
+                            % (args.stot, args.sinc, scat.frequency_hz, cfg.medium.frequency_hz))
     else:
         scat = cfgmod.build_scattered(cfg)
     if cfg.imaging.matrix_kind == forward.KIND_ZERO_DIAGONAL:
@@ -164,18 +168,20 @@ _COMMANDS = {
 
 
 def build_parser(command=None):
-    """The smig parser; only the subcommand `command` names gets its options,
-    or every subcommand when it names none."""
+    """The smig parser with only the subcommand `command` names, or with
+    every subcommand when it names none."""
     parser = argparse.ArgumentParser(
         prog="smig",
         description="Scattering-matrix synthesis and subspace imaging pipeline",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
     named = command in _COMMANDS
+    # A named command's parser still shows every command in its usage line.
+    choices = {"metavar": "{%s}" % ",".join(_COMMANDS)} if named else {}
+    sub = parser.add_subparsers(dest="command", required=True, **choices)
     for name, fn in _COMMANDS.items():
-        p = sub.add_parser(name)
-        p.set_defaults(fn=fn)
         if not named or name == command:
+            p = sub.add_parser(name)
+            p.set_defaults(fn=fn)
             _add_options(p, name)
     return parser
 

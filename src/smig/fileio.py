@@ -6,12 +6,14 @@ S-parameters travel as CSV with a one-line header:
     m,n,re,im
 
 Values are written with the shortest round-trip decimal representation,
-so write -> read is bit-exact.  The writer formats one matrix row at a
-time with one %-format per row; the reader converts a clean file column
-by column and re-reads a faulty one row by row.  A faulty file is
-reported by its first faulty row in file order (within a row: malformed,
-index out of range, duplicate, non-finite), and a file without such rows
-by its missing entries.
+so write -> read is bit-exact; the header frequency must be 0 < f_hz < inf.
+The writer formats only the parts reciprocity does not repeat (a part
+below the diagonal whose bits equal its mirror's takes the mirror's text)
+and emits one %-format per matrix row.  The reader converts a clean file
+in one numpy pass and re-reads any other file row by row with Python's
+int and float.  A faulty file is reported by its first faulty row in file
+order (within a row: malformed, index out of range, duplicate,
+non-finite), and a file without such rows by its missing entries.
 
 Maps go out as x,y,value CSV, written one grid row at a time with one
 %-format per row, or as binary P5 PGM (row 0 = y_max), each with a
@@ -34,6 +36,9 @@ from .errors import ConfigError, DataError
 from .forward import KIND_FULL, KIND_ZERO_DIAGONAL, ScatteringMatrix
 
 _HEADER_RE = re.compile(r"#\s*smig-sparams\s+v1,\s*N=(\d+),\s*f_hz=([^\s,]+)")
+
+# One data row of an S-parameter file, as np.loadtxt converts it.
+_ROW = np.dtype([("m", np.intp), ("n", np.intp), ("re", float), ("im", float)])
 
 # Map output formats and the file types each one writes.
 MAP_FORMATS = {"csv": ("csv",), "pgm": ("pgm",), "both": ("csv", "pgm")}
@@ -58,75 +63,93 @@ def write_sidecar(path, fields):
 
 
 def write_sparams(s_matrix, path, meta=None):
-    """Write an N x N matrix as the v1 CSV format; like the reader, finite values only."""
+    """Write an N x N matrix as the v1 CSV format; like the reader, finite
+    values and a frequency 0 < f_hz < inf only."""
     if not np.all(np.isfinite(s_matrix.entries)):
         raise DataError("%s: refusing to write non-finite entries" % path)
-    if not math.isfinite(s_matrix.frequency_hz):
-        raise DataError("%s: refusing to write non-finite frequency %r"
+    if not 0.0 < s_matrix.frequency_hz < math.inf:
+        raise DataError("%s: refusing to write frequency %r, not 0 < f_hz < inf"
                         % (path, s_matrix.frequency_hz))
     n = s_matrix.size
-    # One % format per matrix row: the tails ",n,%r,%r\n" are built once, a
-    # row's template is m + m.join(tails), and its floats, interleaved re, im
-    # by a float view of a C-ordered row, are held as Python floats (%r of a
-    # float is _fmt's repr) one row at a time.
-    tails = [",%d,%%r,%%r\n" % j for j in range(1, n + 1)]
+    # Reciprocity repeats most text: a part below the diagonal whose bits
+    # equal its transpose's takes that part's text (bits, not values: -0.0 ==
+    # 0.0), and only the other parts are formatted.  index holds each part's
+    # position among the formatted ones, in C order of (m, n, re|im).
+    parts = np.ascontiguousarray(s_matrix.entries).view(float).reshape(n, n, 2)
+    bits = parts.view(np.int64)
+    copy = (bits == bits.transpose(1, 0, 2)) & np.tri(n, n, -1, dtype=bool)[:, :, None]
+    index = np.cumsum(~copy).reshape(n, n, 2) - 1
+    # Gathered through an object array: a list of 2N^2 Python ints as the
+    # index would add about 100 MiB at N = 1024.
+    texts = np.array(list(map(repr, parts[~copy].tolist())), dtype=object)
+    texts = texts[np.where(copy, index.transpose(1, 0, 2), index)].reshape(n, 2 * n)
+    # One % format per matrix row: the tails ",n,%s,%s\n" are built once and
+    # a row's template is m + m.join(tails).
+    tails = [",%d,%%s,%%s\n" % j for j in range(1, n + 1)]
     with _create(path) as fh:
         fh.write("# smig-sparams v1, N=%d, f_hz=%s\nm,n,re,im\n" % (n, _fmt(s_matrix.frequency_hz)))
-        for m, row in enumerate(np.ascontiguousarray(s_matrix.entries), start=1):
+        for m, row_texts in enumerate(texts, start=1):
             m = str(m)
-            fh.write((m + m.join(tails)) % tuple(row.view(float).tolist()))
+            fh.write((m + m.join(tails)) % tuple(row_texts))
     if meta is not None:
         write_sidecar(path, meta)
 
 
 def _clean_entries(rows, n):
-    """The N x N entries of data rows converted column by column; ValueError
+    """The N x N entries of data rows converted in one numpy pass; ValueError
     unless the rows are exactly the N x N finite entries, once each."""
-    fields = [raw.strip().split(",") for raw in rows]
-    if len(fields) != n * n or list(map(len, fields)).count(4) != n * n:
+    if len(rows) != n * n:  # also keeps loadtxt from warning on no rows
         raise ValueError
-    ms, js, re_parts, im_parts = (list(map(kind, column)) for kind, column
-                                  in zip((int, int, float, float), zip(*fields)))
-    if not (1 <= min(ms) and max(ms) <= n and 1 <= min(js) and max(js) <= n):
+    table = np.loadtxt(rows, dtype=_ROW, delimiter=",", comments=None, ndmin=1)
+    ms, js = table["m"], table["n"]
+    if not (1 <= ms.min() and ms.max() <= n and 1 <= js.min() and js.max() <= n):
         raise ValueError
-    keys = np.array(ms, dtype=np.intp) * n + np.array(js, dtype=np.intp) - (n + 1)
+    keys = ms * n + js - (n + 1)
     seen = np.zeros(n * n, dtype=bool)
     seen[keys] = True  # N x N rows in range cover every entry only without duplicates
     entries = np.empty(n * n, dtype=complex)
-    entries.real[keys] = re_parts
-    entries.imag[keys] = im_parts
+    entries.real[keys] = table["re"]
+    entries.imag[keys] = table["im"]
     if not (seen.all() and np.isfinite(entries).all()):
         raise ValueError
     return entries.reshape(n, n)
 
 
-def _first_fault(path, rows, n):
-    """The DataError of the first faulty row in file order, else of the missing entries."""
-    seen = set()
+def _row_entries(path, rows, n):
+    """The N x N entries read row by row; raises the DataError of the first
+    faulty row in file order, else of the missing entries."""
+    values = {}
     for raw in rows:
         try:
             m, j, re_part, im_part = raw.strip().split(",")
             m, j, re_part, im_part = int(m), int(j), float(re_part), float(im_part)
         except ValueError:
-            return DataError("%s: malformed row %r" % (path, raw))
+            raise DataError("%s: malformed row %r" % (path, raw)) from None
         if not (1 <= m <= n and 1 <= j <= n):
-            return DataError("%s: index (%d,%d) outside 1..%d" % (path, m, j, n))
-        if (m, j) in seen:
-            return DataError("%s: duplicate entry (%d,%d)" % (path, m, j))
+            raise DataError("%s: index (%d,%d) outside 1..%d" % (path, m, j, n))
+        if (m, j) in values:
+            raise DataError("%s: duplicate entry (%d,%d)" % (path, m, j))
         if not (math.isfinite(re_part) and math.isfinite(im_part)):
-            return DataError("%s: non-finite value at (%d,%d)" % (path, m, j))
-        seen.add((m, j))
-    missing = ((m, j) for m in range(1, n + 1) for j in range(1, n + 1) if (m, j) not in seen)
-    return DataError("%s: missing entries %s" % (path, list(itertools.islice(missing, 8))))
+            raise DataError("%s: non-finite value at (%d,%d)" % (path, m, j))
+        values[m, j] = complex(re_part, im_part)
+    if len(values) != n * n:
+        missing = ((m, j) for m in range(1, n + 1) for j in range(1, n + 1)
+                   if (m, j) not in values)
+        raise DataError("%s: missing entries %s" % (path, list(itertools.islice(missing, 8))))
+    return np.array([values[m, j] for m in range(1, n + 1) for j in range(1, n + 1)],
+                    dtype=complex).reshape(n, n)
 
 
 def read_sparams(path):
-    """Read a v1 CSV file; demands complete N x N coverage, no duplicates.
+    """Read a v1 CSV file; demands complete N x N coverage, no duplicates,
+    finite values and a header frequency 0 < f_hz < inf.
 
-    A clean file is converted column by column.  A file with any fault is
-    re-read row by row, which reports its first faulty row in file order
-    (within a row: malformed, index out of range, duplicate (m, n),
-    non-finite), or the missing entries of a file without such rows.
+    A clean file is converted in one numpy pass.  Any other file (and one
+    numpy will not parse, such as 1_0 or non-ASCII digits, which Python's
+    int and float accept) is re-read row by row, which reports its first
+    faulty row in file order (within a row: malformed, index out of range,
+    duplicate (m, n), non-finite), or the missing entries of a file without
+    such rows.
     """
     with open(path, errors="replace") as fh:  # stray bytes fail as malformed rows
         lines = fh.read().splitlines()
@@ -137,18 +160,19 @@ def read_sparams(path):
         f_hz = float(match.group(2))
     except ValueError:
         raise DataError("%s: malformed header %r" % (path, lines[0])) from None
-    if not math.isfinite(f_hz):
-        raise DataError("%s: non-finite frequency in header %r" % (path, lines[0]))
+    if not 0.0 < f_hz < math.inf:
+        raise DataError("%s: frequency in header %r is not 0 < f_hz < inf" % (path, lines[0]))
     if not n:
         raise DataError("%s: header says N=0" % path)
     if n * n >= len(lines):  # checked before the N x N allocation
         raise DataError("%s: header says N=%d, but the file has %d lines" % (path, n, len(lines)))
     rows = [raw for raw in lines[1:]
             if (line := raw.strip()) and not line.startswith(("#", "m,"))]
-    try:
+    entries = None
+    with contextlib.suppress(ValueError):  # any fault: re-read row by row below
         entries = _clean_entries(rows, n)
-    except ValueError:
-        raise _first_fault(path, rows, n) from None
+    if entries is None:
+        entries = _row_entries(path, rows, n)
     kind = KIND_ZERO_DIAGONAL if np.all(np.diag(entries) == 0) else KIND_FULL
     return ScatteringMatrix(entries, kind, "file", f_hz)
 

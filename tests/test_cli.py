@@ -137,6 +137,22 @@ def test_measured_image_of_another_array_size_is_one_line_error(tmp_path, capsys
     assert len(err.splitlines()) == 1 and err.startswith("error: DataError:")
 
 
+@pytest.mark.parametrize("command", ["image", "spectrum"])
+def test_measured_frequency_must_match_the_config(tmp_path, capsys, command):
+    # Files written at 1 GHz are not imaged at the config's 2 GHz.
+    sim_dir, out = tmp_path / "sim", tmp_path / "out"
+    assert main(["simulate", "--out", str(sim_dir), "--override", "array.count=8"]) == 0
+    capsys.readouterr()
+    rc = main([command, "--out", str(out), *FAST, "--override", "medium.frequency_hz=2e9",
+               "--stot", str(sim_dir / "sparams_tot.csv"),
+               "--sinc", str(sim_dir / "sparams_inc.csv")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert _one_line_error(err) and err.startswith("error: DataError:"), err
+    assert "1000000000.0 Hz" in err and "2000000000.0 Hz" in err
+    assert not list(out.glob("*.csv"))
+
+
 def test_simulate_then_measured_image_matches_synthetic(tmp_path, capsys):
     sim_dir = tmp_path / "sim"
     rc = main(["simulate", "--out", str(sim_dir),

@@ -495,21 +495,78 @@ def test_sidecar_records_seed_and_hash(tmp_path, born_fixture):
     assert "seed = 7" in sidecar
 
 
+_EDGE_PARTS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+               -1.7976931348623157e308]
+
+
+def _sparams_matrix(seed):
+    """An N x N matrix whose parts mix normal values, random finite bit
+    patterns and edge values; half of them are symmetric but for a few
+    planted parts that differ from their mirror only in sign or one ulp."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 9))
+    normal = rng.standard_normal((n, n, 2)) * 10.0 ** rng.integers(-9, 3)
+    bits = rng.integers(-2 ** 63, 2 ** 63, size=(n, n, 2), dtype=np.int64).view(float)
+    edge = rng.choice(_EDGE_PARTS, size=(n, n, 2))
+    source = rng.integers(0, 3, size=(n, n, 2))
+    parts = np.where(source == 0, normal, np.where(source == 1, bits, edge))
+    parts = np.where(np.isfinite(parts), parts, normal)
+    if rng.integers(2):
+        lower = np.tri(n, n, -1, dtype=bool)[:, :, None]
+        parts = np.where(lower, parts.transpose(1, 0, 2), parts)
+        for _ in range(int(rng.integers(0, n + 1))):
+            m, j = sorted(rng.choice(n, size=2)) if n > 1 else (0, 0)
+            part = int(rng.integers(2))
+            value = parts[j, m, part]
+            parts[j, m, part] = -value if rng.integers(2) else np.nextafter(value, 0.0)
+    entries = parts[..., 0] + 1j * parts[..., 1]
+    return forward.ScatteringMatrix(entries, forward.KIND_FULL, "file",
+                                    float(rng.integers(1, 5)) * 1e9)
+
+
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(seed=st.integers(min_value=0, max_value=10_000))
 def test_sparams_round_trip_property(tmp_path, seed):
-    # Safe with one shared tmp_path: each example writes its own file.
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(2, 9))
-    entries = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-9, 3)
-    entries = entries + 1j * rng.standard_normal((n, n))
-    s = forward.ScatteringMatrix(entries, forward.KIND_FULL, "file", float(rng.integers(1, 5)) * 1e9)
+    # Safe with one shared tmp_path: each example writes its own file.  Bits
+    # are compared, so -0.0 read back as 0.0 fails.
+    s = _sparams_matrix(seed)
     path = tmp_path / ("s%d.csv" % seed)
     fileio.write_sparams(s, path)
     back = fileio.read_sparams(path)
-    assert np.array_equal(back.entries, s.entries)
+    assert np.array_equal(back.entries.view(np.int64), s.entries.view(np.int64))
     assert back.frequency_hz == s.frequency_hz
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(min_value=0, max_value=10_000))
+def test_sparams_writer_matches_the_reference_writer(tmp_path, seed):
+    # The writer formats only the parts reciprocity does not repeat; its
+    # bytes are those of formatting every entry with one "%d,%d,%r,%r" row.
+    s = _sparams_matrix(seed)
+    path = tmp_path / ("w%d.csv" % seed)
+    fileio.write_sparams(s, path)
+    reference = "# smig-sparams v1, N=%d, f_hz=%r\nm,n,re,im\n" % (s.size, s.frequency_hz)
+    reference += "".join("%d,%d,%r,%r\n" % (m, j, v.real, v.imag)
+                         for m, row in enumerate(s.entries.tolist(), start=1)
+                         for j, v in enumerate(row, start=1))
+    assert path.read_bytes() == reference.encode()
+
+
+@pytest.mark.parametrize("f_hz", [0.0, -0.0, -1e9], ids=["0.0", "-0.0", "-1e9"])
+def test_sparams_frequency_must_be_positive(tmp_path, born_fixture, f_hz):
+    path = tmp_path / "s.csv"
+    fileio.write_sparams(born_fixture, path)
+    text = path.read_text().replace("f_hz=%r" % born_fixture.frequency_hz, "f_hz=%r" % f_hz, 1)
+    path.unlink()
+    path.write_text(text)
+    with pytest.raises(DataError, match="frequency"):
+        fileio.read_sparams(path)
+    bad = forward.ScatteringMatrix(born_fixture.entries, forward.KIND_FULL, "t", f_hz)
+    with pytest.raises(DataError, match="frequency"):
+        fileio.write_sparams(bad, tmp_path / "w.csv")
+    assert not (tmp_path / "w.csv").exists()
 
 
 _HEADER_RE = re.compile(r"#\s*smig-sparams\s+v1,\s*N=(\d+),\s*f_hz=([^\s,]+)")
@@ -563,13 +620,15 @@ _NON_FINITE = ["nan", "inf", "-inf", "1e999", "NaN"]
 
 @st.composite
 def _sparams_with_faults(draw):
-    """A v1 file whose rows carry one or two injected faults, in either order."""
+    """A v1 file whose rows carry one or two injected faults, in either order;
+    a python_only "fault" is a row only the row-by-row reader can parse."""
     n = draw(st.integers(1, 4))
     part = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
     rows = ["%d,%d,%r,%r" % (m, j, draw(part), draw(part))
             for m in range(1, n + 1) for j in range(1, n + 1)]
     faults = draw(st.lists(st.sampled_from(
-        ["out_of_range", "duplicate", "non_finite", "malformed", "missing"]), min_size=1, max_size=2))
+        ["out_of_range", "duplicate", "non_finite", "malformed", "missing", "python_only"]),
+        min_size=1, max_size=2))
     for fault in faults:
         at = draw(st.integers(0, len(rows)))
         if fault == "out_of_range":
@@ -589,6 +648,15 @@ def _sparams_with_faults(draw):
             rows.insert(at, draw(st.sampled_from(_MALFORMED_ROWS)))
         elif fault == "missing" and rows:
             del rows[draw(st.integers(0, len(rows) - 1))]
+        elif fault == "python_only" and rows:
+            # Spellings Python's int and float accept and numpy's loadtxt refuses.
+            i = draw(st.integers(0, len(rows) - 1))
+            fields = rows[i].split(",")
+            if len(fields) == 4:
+                column = draw(st.integers(0, 3))
+                fields[column] = draw(st.sampled_from(["1_0", "\u0661"] if column < 2
+                                                      else ["1_0.5", "\uff11.5"]))
+                rows[i] = ",".join(fields)
     # Blank lines, comments and padding are skipped or stripped by both readers.
     extras = draw(st.lists(st.sampled_from(["", "  ", "# note", "m,n,re,im"]), max_size=2))
     for extra in extras:
