@@ -124,7 +124,7 @@ def _cmd_validate(args):
     # The series runs at k and 2k: its largest argument is 2k max|r - r*|.
     reach = 2.0 * k_real * float(np.hypot(*(points - r_star).T).max())
     deviation, ratio_spread = structure.validate(points, array, k_real, r_star,
-                                                 covering_truncation(reach, abs_tol=1e-10))
+                                                 covering_truncation(reach))
     print("max_identity_deviation=%r ratio_spread=%r" % (deviation, ratio_spread))
     if deviation > 1e-8 or ratio_spread > 1e-6:
         print("error: structure: oracle deviation above tolerance", file=sys.stderr)

@@ -75,6 +75,7 @@ class AntennaArray:
         if not 2 <= self.count <= MAX_ANTENNAS or self.count % 1:
             raise ConfigError("antenna count must be a whole number in [2, %d] (imaging needs "
                               "off-diagonal data), got %r" % (MAX_ANTENNAS, self.count))
+        object.__setattr__(self, "count", int(self.count))
         if not 0 < self.radius < math.inf:
             raise ConfigError("array radius must be finite and > 0, got %r" % (self.radius,))
         angles = 3.0 * math.pi / 2.0 - 2.0 * math.pi * np.arange(self.count) / self.count
@@ -160,7 +161,7 @@ def incident_field(d, r, k):
     return -0.25j * hankel1_0(k.k * dist)
 
 
-def incident_field_many(points, positions, k, table=None):
+def incident_field_many(points, positions, k, table):
     """Incident field from every antenna to every point, and the coincident points.
 
     Returns (fields, coincident): fields has shape (npts, N); coincident,
@@ -171,15 +172,15 @@ def incident_field_many(points, positions, k, table=None):
     placeholder values for the caller to drop or reject: its coincident
     distances are replaced by the call's largest, which keeps them off the
     singularity and inside the table's range.  H_0^(1)(k d) comes from
-    table, a specfun.DistanceTable for k.k that the imaging sweep builds
-    once per map, or from hankel1_0 without one.
+    table, the specfun.DistanceTable for k.k that the imaging sweep builds
+    once per map; a table with no segments gives every distance exactly.
     """
     points = np.asarray(points, dtype=float)
     dist = np.hypot(points[:, 0, None] - positions[:, 0], points[:, 1, None] - positions[:, 1])
     bad = _coincident(dist, np.hypot(positions[:, 0], positions[:, 1]).max())
     if bad.any():
         dist = np.where(bad, dist.max(), dist)
-    w = -0.25j * (hankel1_0(k.k * dist) if table is None else table(dist))
+    w = -0.25j * table(dist)
     return w, bad.any(axis=1)
 
 

@@ -139,8 +139,6 @@ def born_smatrix(array, anomalies, medium, denominator=DENOM_SIGMA):
     S(m,n) = sum_j rho_j^2 (i k^2 pi / (4 w mu_b)) gamma_j
              E_inc(d_n, r_j) E_inc(d_m, r_j).
     """
-    if isinstance(anomalies, Anomaly):
-        anomalies = [anomalies]
     k = em.wavenumber(medium).k
     n = array.count
     out = np.zeros((n, n), dtype=complex)

@@ -142,8 +142,11 @@ class RankPolicy:
             raise ConfigError("unknown rank policy mode %r" % (self.mode,))
         if self.mode == "relative_threshold" and not 0.0 < self.threshold < 1.0:
             raise ConfigError("relative threshold must lie in (0, 1), got %r" % (self.threshold,))
-        if self.mode == "fixed" and (self.fixed_m is None or self.fixed_m < 1):
-            raise ConfigError("fixed rank mode needs fixed_m >= 1")
+        if self.mode == "fixed":
+            if self.fixed_m is None or not self.fixed_m >= 1 or self.fixed_m % 1:
+                raise ConfigError("fixed rank mode needs a whole number fixed_m >= 1, got %r"
+                                  % (self.fixed_m,))
+            object.__setattr__(self, "fixed_m", int(self.fixed_m))
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,12 @@ as a 1-element batch and unwrapped):
     at the switchover) for orders 0 and 1.  H^(1) is taken from its own
     expansion; J and Y are the half-sum and half-difference of H^(1) and
     H^(2), which do not cancel.  Higher J orders stay on the Miller batch.
+  * Each quantity has one entry point with one near/far split: bessel_j
+    (Miller batch below 25; above, orders 0-1 from the half-sum and
+    orders >= 2 from the Miller batch), bessel_y (Neumann series / half-
+    difference) and hankel1_sequence (H_0, H_1 as J + iY from one Miller
+    batch / the H^(1) expansion, then upward recurrence).  hankel1_0 is
+    hankel1_sequence's order 0.
   * The truncated Jacobi-Anger sum J_0(x) + 2 sum i^s J_s(x) cos(s theta)
     is evaluated for a batch of points and angles from one Miller batch;
     covering_truncation picks the order S for arguments up to x from the
@@ -79,15 +85,16 @@ class SeriesTruncation:
             raise DomainError("SeriesTruncation.abs_tol must be > 0, got %r" % (self.abs_tol,))
 
 
-def covering_truncation(x, abs_tol=SeriesTruncation.abs_tol):
+def covering_truncation(x):
     """The truncation of a Jacobi-Anger sum over arguments in [0, x].
 
     max_order is the smallest order S >= 64 (the default) with
-    (x/2)^S / S! <= abs_tol.  That is a bound on |J_S(x)|, and for
-    abs_tol < 1 the bounds of the dropped orders fall by the ratio
-    x / (2 (S + 1)) < 1 per order.  An x that needs an order past
-    MAX_ORDER, or that is not finite, raises TruncationError.
+    (x/2)^S / S! <= abs_tol, the default 1e-10.  That is a bound on
+    |J_S(x)|, and for abs_tol < 1 the bounds of the dropped orders fall
+    by the ratio x / (2 (S + 1)) < 1 per order.  An x that needs an order
+    past MAX_ORDER, or that is not finite, raises TruncationError.
     """
+    abs_tol = SeriesTruncation.abs_tol
     bound = 1.0
     order = 0
     while not bound <= abs_tol or order < SeriesTruncation.max_order:
@@ -221,14 +228,6 @@ def _hankel_asymptotic(z, nu, sign):
     return np.sqrt(2.0 / (np.pi * z)) * np.exp(sign * 1j * phase) * acc
 
 
-def _jy01_asymptotic(z):
-    h1 = _hankel_asymptotic(z, 0, +1)
-    h2 = _hankel_asymptotic(z, 0, -1)
-    g1 = _hankel_asymptotic(z, 1, +1)
-    g2 = _hankel_asymptotic(z, 1, -1)
-    return (h1 + h2) / 2.0, (g1 + g2) / 2.0, (h1 - h2) / 2j, (g1 - g2) / 2j
-
-
 def _check_nonzero(arr, name):
     if np.any(arr == 0):
         raise SingularityError("%s is singular at z = 0" % name)
@@ -258,12 +257,6 @@ def _near_batch(z, s_max):
     return _j_sequence(z, max(s_max, int(np.ceil(np.abs(z).max(initial=0.0))) + _ORDER_PAD + 2))
 
 
-def _hankel01_near(z):
-    """H_0^(1)(z), H_1^(1)(z) = J + iY from one Miller batch, |z| <= 25, z nonzero."""
-    seq = _near_batch(z, 1)
-    return seq[:2] + 1j * np.stack(_y01_from_sequence(z, seq))
-
-
 def bessel_j(s, z):
     """J_s(z) for integer order s, |s| <= 512, |z| <= 1e4.
 
@@ -278,7 +271,8 @@ def bessel_j(s, z):
     val = _split(
         arr,
         lambda zn: _near_batch(zn, n)[n],
-        lambda zf: _j_sequence(zf, n)[n] if n >= 2 else _jy01_asymptotic(zf)[n],
+        lambda zf: (_j_sequence(zf, n)[n] if n >= 2 else
+                    (_hankel_asymptotic(zf, n, +1) + _hankel_asymptotic(zf, n, -1)) / 2.0),
     )
     if s < 0 and s % 2:
         val = -val
@@ -295,44 +289,42 @@ def bessel_y(s, z):
     val = _split(
         arr,
         lambda zn: _y01_from_sequence(zn, _near_batch(zn, 1))[s],
-        lambda zf: _jy01_asymptotic(zf)[2 + s],
+        lambda zf: (_hankel_asymptotic(zf, s, +1) - _hankel_asymptotic(zf, s, -1)) / 2j,
     )
     return complex(val[0]) if scalar else val
 
 
 def hankel1_0(z):
-    """H_0^(1)(z) = J_0(z) + i Y_0(z); z must be nonzero.
-
-    For |z| <= 25 both parts come from one Miller batch, so a value is
-    bit-identical to bessel_j(0, z) + 1j * bessel_y(0, z).  Above 25 the
-    H^(1) expansion is used directly: J + iY would cancel for Im z > 0.
-    """
-    arr, scalar = _as_batch(z)
-    _check_nonzero(arr, "H_0^(1)")
-    val = _split(
-        arr, lambda zn: _hankel01_near(zn)[0], lambda zf: _hankel_asymptotic(zf, 0, +1)
-    )
-    return complex(val[0]) if scalar else val
+    """H_0^(1)(z) = J_0(z) + i Y_0(z), order 0 of hankel1_sequence; z must be nonzero."""
+    val = hankel1_sequence(z, 0)[0]
+    return complex(val) if np.ndim(z) == 0 else val
 
 
 def hankel1_sequence(z, s_max):
     """H_0^(1)(z)..H_{s_max}^(1)(z) by upward recurrence from H_0, H_1.
 
-    Returns shape (s_max+1,) + z.shape.  Upward recurrence is stable for
-    the Hankel function because the Y part dominates and grows with the
-    order.
+    Returns shape (s_max+1,) + z.shape; z must be nonzero.  H_0 and H_1
+    (H_1 only for s_max >= 1) are bit-identical to J + iY below 25, own
+    H^(1) expansion above: for |z| <= 25 both parts come from one Miller
+    batch, and above 25 J + iY would cancel for Im z > 0.  Upward
+    recurrence is stable for the Hankel function because the Y part
+    dominates and grows with the order.
     """
     arr, scalar = _as_batch(z)
     _check_nonzero(arr, "H_s^(1)")
-    out = np.empty((max(s_max, 1) + 1,) + arr.shape, dtype=complex)
-    out[:2] = _split(
-        arr,
-        _hankel01_near,
-        lambda zf: np.stack([_hankel_asymptotic(zf, 0, +1), _hankel_asymptotic(zf, 1, +1)]),
+    low = min(s_max, 1) + 1
+
+    def near(zn):
+        seq = _near_batch(zn, 1)
+        return seq[:low] + 1j * np.stack(_y01_from_sequence(zn, seq)[:low])
+
+    out = np.empty((s_max + 1,) + arr.shape, dtype=complex)
+    out[:low] = _split(
+        arr, near, lambda zf: np.stack([_hankel_asymptotic(zf, s, +1) for s in range(low)])
     )
     for s in range(1, s_max):
         out[s + 1] = (2.0 * s / arr) * out[s] - out[s - 1]
-    return out[: s_max + 1, 0] if scalar else out[: s_max + 1]
+    return out[:, 0] if scalar else out
 
 
 # Segment width in |k| d, radians.  With the floor below, the nearest

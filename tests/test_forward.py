@@ -55,7 +55,10 @@ def test_born_coincident_center(paper_array, paper_medium):
     ((0.0, -0.08), 0.01),       # antenna 1 on the rim
     ((0.0, 0.0), 0.5),          # every antenna inside
 ])
-@pytest.mark.parametrize("generator", [forward.born_smatrix, forward.exact_disc_smatrix])
+@pytest.mark.parametrize("generator", [
+    lambda array, anomaly, medium: forward.born_smatrix(array, [anomaly], medium),
+    forward.exact_disc_smatrix,
+], ids=["born_smatrix", "exact_disc_smatrix"])
 def test_antenna_inside_disc_rejected(paper_array, paper_medium, center, radius, generator):
     anomaly = forward.Anomaly.from_relative(center, radius, 55.0, 1.2)
     with pytest.raises(GeometryError):

@@ -121,13 +121,38 @@ def test_rank_policy_invariants():
     with pytest.raises(ConfigError):
         RankPolicy(mode="fixed", fixed_m=None)
     with pytest.raises(ConfigError):
+        RankPolicy(mode="fixed", fixed_m=2.5)
+    with pytest.raises(ConfigError):
         RankPolicy(mode="bogus")
 
 
+def test_whole_number_fields_are_stored_as_int(contaminated_fixture, small_anomaly, paper_array,
+                                               paper_medium, paper_k, coarse_grid):
+    # A whole-number float count or rank builds the same data and map as the int.
+    array = em.AntennaArray(float(paper_array.count), paper_array.radius)
+    assert type(array.count) is int and array.count == paper_array.count
+    assert np.array_equal(forward.born_smatrix(array, [small_anomaly], paper_medium).entries,
+                          forward.born_smatrix(paper_array, [small_anomaly], paper_medium).entries)
+    assert np.array_equal(forward.incident_coupling_smatrix(array, paper_medium).entries,
+                          forward.incident_coupling_smatrix(paper_array, paper_medium).entries)
+    diag = imaging.zero_diagonal(contaminated_fixture)
+    assert np.array_equal(imaging.image_diag(diag, coarse_grid, array, paper_k).values,
+                          imaging.image_diag(diag, coarse_grid, paper_array, paper_k).values)
+    policy = RankPolicy(mode="fixed", fixed_m=2.0)
+    assert type(policy.fixed_m) is int
+    full = imaging.image_full(contaminated_fixture, coarse_grid, array, paper_k, policy)
+    assert full.rank_used == 2
+
+
 def _steering(points, array, k):
-    """Exact unit steering vectors (no table) of points (P, 2), and the excluded points."""
+    """Exact unit steering vectors of points (P, 2), and the excluded points.
+
+    The table has no segments, so every distance takes hankel1_0.
+    """
+    exact = specfun.DistanceTable(k.k, 0.0, 0.0,
+                                  np.empty((specfun._TABLE_DEGREE + 1, 0), complex))
     return imaging._steering_block(np.asarray(points, dtype=float), array, k,
-                                   imaging.STEERING_HANKEL, None)
+                                   imaging.STEERING_HANKEL, exact)
 
 
 @given(

@@ -4,7 +4,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from smig import em, specfun
@@ -55,8 +55,24 @@ def test_h0_asymptotic_magnitude():
     assert abs(abs(hankel1_0(50.0)) - expected) / expected <= 0.02
 
 
-def test_h0_compositional():
-    assert hankel1_0(1.0) == bessel_j(0, 1.0) + 1j * bessel_y(0, 1.0)
+@given(
+    near=st.complex_numbers(max_magnitude=25.0).filter(lambda z: abs(z) >= 1e-8
+                                                       and abs(z.imag) <= 5.0),
+    batch=st.lists(st.builds(complex, st.floats(-1e3, 1e3), st.floats(-25.0, 25.0))
+                   .filter(lambda z: 1e-8 <= abs(z) <= 1e3), min_size=1, max_size=6),
+    m=st.sampled_from([0, 1, 7]),
+)
+@example(near=1.0, batch=[1.0], m=0)
+def test_h0_compositional(near, batch, m):
+    # H_0, H_1 are J + iY from one Miller batch below 25, bit for bit, and
+    # hankel1_0 is hankel1_sequence's order 0, alone or inside a batch (|z|
+    # >= 1e-8 keeps H_1 and H_7 inside the double range).
+    h = specfun.hankel1_sequence(near, 1)
+    for s in (0, 1):
+        assert h[s] == bessel_j(s, near) + 1j * bessel_y(s, near)
+    z = np.array(batch)
+    assert hankel1_0(batch[0]) == specfun.hankel1_sequence(batch[0], m)[0]
+    assert np.array_equal(hankel1_0(z), specfun.hankel1_sequence(z, m)[0])
 
 
 def test_h0_oracle():
@@ -342,7 +358,7 @@ def test_j_sequence_tiny_arguments_match_the_order_loop(s_max):
 @pytest.mark.parametrize("x, order", [(0.0, 64), (31.9, 64), (63.8, 105), (319.2, 453)])
 def test_covering_truncation_order(x, order):
     # The smallest order S >= 64 with (x/2)^S / S! <= abs_tol.
-    trunc = specfun.covering_truncation(x, 1e-10)
+    trunc = specfun.covering_truncation(x)
     assert trunc == SeriesTruncation(order, 1e-10)
     bound = lambda s: math.exp(s * math.log(x / 2.0) - math.lgamma(s + 1)) if x else 0.0
     assert bound(order) <= 1e-10
@@ -352,7 +368,7 @@ def test_covering_truncation_order(x, order):
 @pytest.mark.parametrize("x", [640.0, math.inf, math.nan])
 def test_covering_truncation_past_max_order(x):
     with pytest.raises(TruncationError, match="past 512"):
-        specfun.covering_truncation(x, 1e-10)
+        specfun.covering_truncation(x)
 
 
 def test_neumann_products_match_the_per_order_sum():
