@@ -176,11 +176,13 @@ def incident_field_many(points, positions, k, table):
     once per map; a table with no segments gives every distance exactly.
     """
     points = np.asarray(points, dtype=float)
-    dist = np.hypot(points[:, 0, None] - positions[:, 0], points[:, 1, None] - positions[:, 1])
+    dist = points[:, 0, None] - positions[:, 0]
+    np.hypot(dist, points[:, 1, None] - positions[:, 1], out=dist)
     bad = _coincident(dist, np.hypot(positions[:, 0], positions[:, 1]).max())
     if bad.any():
-        dist = np.where(bad, dist.max(), dist)
-    w = -0.25j * table(dist)
+        dist[bad] = dist.max()
+    w = table(dist)
+    w *= -0.25j  # exact: a power of two times i
     return w, bad.any(axis=1)
 
 

@@ -38,9 +38,10 @@ STEERING_PLANE_WAVE = "plane_wave"
 # Grid-to-antenna distances per steering chunk, whatever the grid or antenna
 # count: 8 rows of the 201-point Table-1 grid times 16 antennas.  A chunk's
 # temporaries set the sweep's share of memory: over 20 s of repeated Table-1
-# `smig image` requests (perfbench table1_image, 2-vCPU VM, one BLAS thread)
-# the process peaks at 45.8 MiB RSS, and at 44.6 MiB at half this budget, where
-# the N = 64, 401^2 map takes 5-10% longer.
+# `smig image` requests (perfbench table1_image, 2-vCPU Intel Xeon, one BLAS
+# thread) the process peaks at 43.9-44.0 MiB RSS, and at 42.0-42.4 MiB at half
+# this budget, where the N = 64, 401^2 maps took as long within that host's
+# run-to-run spread.
 _CHUNK_DISTANCES = 8 * 201 * 16
 
 RANK_MODES = ("relative_threshold", "fixed")
@@ -49,10 +50,10 @@ RANK_MODES = ("relative_threshold", "fixed")
 # large case.  A steering chunk holds _CHUNK_DISTANCES distances, so memory
 # grows with the points only through the representatives' indices and the
 # value and output arrays: at 2047^2 points (Table-1 scenario, 8-fold sweep,
-# 2-vCPU VM, one BLAS thread) `smig image` peaks at 83 MiB RSS with CSV output
-# (1.8 s), which the map itself sets (the writer holds one grid row at a time),
-# and at 114 MiB with PGM output (0.40 s; the writer adds one float copy of the
-# map).
+# 2-vCPU Intel Xeon, one BLAS thread) `smig image` peaks at 81 MiB RSS with CSV
+# output (3.7-5.0 s), which the map itself sets (the writer holds one grid row
+# at a time), and at 113 MiB with PGM output (0.8-0.95 s; the writer adds one
+# float copy of the map).
 MAX_GRID_POINTS = 2 ** 22
 
 
@@ -346,13 +347,18 @@ def _projection_maps(decomps, ranks, grid, array, k, steering):
     bounds = list(range(0, n, block)) + [n]
     if len(bounds) > 2 and n - bounds[-2] == 1:
         bounds[-2] -= 1
+    # Every chunk projects into the same two buffers: chunk-sized arrays
+    # made and freed per chunk go back to the OS and fault in again.
+    wu, wv = (np.empty((min(block, n), u.shape[1]), dtype=complex) for _ in range(2))
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         i, j = rep_i[lo:hi], rep_j[lo:hi]
         pts = np.stack([orbits.xs[i], orbits.ys[j]], axis=1)
         w, excluded = _steering_block(pts, array, k, steering, table)
         np.conjugate(w, out=w)
         w[excluded] = 0.0
-        prod = ((w @ u) * (w @ v_conj)).reshape(hi - lo, len(perms), -1)
+        prod = np.matmul(w, u, out=wu[: hi - lo])
+        prod *= np.matmul(w, v_conj, out=wv[: hi - lo])
+        prod = prod.reshape(hi - lo, len(perms), -1)
         # A point on an axis or diagonal is the image of its own
         # representative under several g; the last g in order wins.  Each
         # map takes its own (pairwise) np.sum: one np.add.reduceat over all
@@ -360,6 +366,7 @@ def _projection_maps(decomps, ranks, grid, array, k, steering):
         for q, image in enumerate(orbits.images(i, j)):
             for m, (start, stop) in enumerate(zip(stops - ranks, stops)):
                 vals[m, image] = np.abs(np.sum(prod[:, q, start:stop], axis=1))
+        del w  # before the next chunk's steering block exists
     return vals.reshape((len(decomps),) + grid.shape)
 
 

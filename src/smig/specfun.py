@@ -35,9 +35,11 @@ as a 1-element batch and unwrapped):
     term bound (x/2)^S / S!.
   * Bulk H_0^(1)(k d) over many real distances d at one k, the imaging
     sweep: for fixed k the function is smooth in d away from d = 0, so a
-    piecewise Chebyshev table, built from hankel1_0 at the nodes
-    (hankel1_0_table) and evaluated by Clenshaw (DistanceTable), costs
-    about a tenth of the exact path per distance.  The imaging sweep
+    piecewise Chebyshev table (hankel1_0_table), evaluated by Clenshaw
+    (DistanceTable), costs about a tenth of the exact path per distance.
+    Its node values come from Graf's addition theorem (DLMF 10.23.7): one
+    hankel1_sequence over the segment centres and one J batch over the
+    node offsets, which every segment shares.  The imaging sweep
     builds one table per map over the grid's whole distance range and
     reads it chunk by chunk.  Segments are 0.05 rad wide in |k| d,
     degree 7.  Below |k| d = 0.4 the log singularity at d = 0 is too
@@ -189,25 +191,33 @@ def _j_sequence(z, s_max):
     return out[:, 0] if scalar else out
 
 
-def _y01_from_sequence(z, seq):
-    """Y_0 and Y_1 via the logarithmic Neumann series over a J batch.
+def _y01_from_sequence(z, seq, count=2):
+    """Y_0 and Y_1 (the first count of them) via the logarithmic Neumann series over a J batch.
 
     z is 1-D and seq has shape (orders, z.size); seq must extend to order
     >= ceil(|z|) + 40 for full accuracy.  The sums S0 = sum_k c_k J_{2k}
     and S1 = sum_k c_k (J_{2k-1} - J_{2k+1}), c_k = (-1)^(k+1) / k, are
     two coefficient-vector products over the even and the odd orders.
+    count = 1 skips Y_1, which overflows for |z| below about 3.5e-309.
     """
     z = np.asarray(z, dtype=complex)
-    ell = np.log(z / 2.0) + EULER_GAMMA
+    # z / 2 can round or underflow only below |z| = 2^-1021; there the
+    # logarithm is log z - ln 2, and every other z keeps log(z / 2)'s bits.
+    tiny = np.abs(z) < 2.0 ** -1021
+    ell = np.log(np.where(tiny, z, z / 2.0))
+    ell[tiny] -= math.log(2.0)
+    ell += EULER_GAMMA
     kmax = (seq.shape[0] - 2) // 2
     k = np.arange(1.0, kmax + 1)
     c = np.where(k % 2, 1.0, -1.0) / k
-    d = np.append(c, 0.0) - np.append(0.0, c)  # S1's coefficient of J_1, J_3, ...
     # einsum over real views: BLAS (matmul) rounds a column differently with
     # the batch's width, and a value must not depend on its batch.
     s0 = np.einsum("k,kp->p", c, seq[2 : 2 * kmax + 1 : 2].view(float)).view(complex)
-    s1 = np.einsum("k,kp->p", d, seq[1 : 2 * kmax + 2 : 2].view(float)).view(complex)
     y0 = (2.0 / np.pi) * ell * seq[0] + (4.0 / np.pi) * s0
+    if count == 1:
+        return (y0,)
+    d = np.append(c, 0.0) - np.append(0.0, c)  # S1's coefficient of J_1, J_3, ...
+    s1 = np.einsum("k,kp->p", d, seq[1 : 2 * kmax + 2 : 2].view(float)).view(complex)
     y1 = (2.0 / np.pi) * ell * seq[1] - (2.0 / (np.pi * z)) * seq[0] - (2.0 / np.pi) * s1
     return y0, y1
 
@@ -288,7 +298,7 @@ def bessel_y(s, z):
     _check_nonzero(arr, "Y_%d" % s)
     val = _split(
         arr,
-        lambda zn: _y01_from_sequence(zn, _near_batch(zn, 1))[s],
+        lambda zn: _y01_from_sequence(zn, _near_batch(zn, 1), s + 1)[s],
         lambda zf: (_hankel_asymptotic(zf, s, +1) - _hankel_asymptotic(zf, s, -1)) / 2j,
     )
     return complex(val[0]) if scalar else val
@@ -316,7 +326,7 @@ def hankel1_sequence(z, s_max):
 
     def near(zn):
         seq = _near_batch(zn, 1)
-        return seq[:low] + 1j * np.stack(_y01_from_sequence(zn, seq)[:low])
+        return seq[:low] + 1j * np.stack(_y01_from_sequence(zn, seq, low))
 
     out = np.empty((s_max + 1,) + arr.shape, dtype=complex)
     out[:low] = _split(
@@ -361,35 +371,62 @@ class DistanceTable:
         n, segments = self.coef.shape
         if not segments:
             return hankel1_0(self.k * d)
-        tabulated = (d >= self.lo) & (d <= self.hi)
+        rest = ~((d >= self.lo) & (d <= self.hi))
         # Clenshaw over each distance's segment; the other distances are
         # evaluated at lo and overwritten with their exact values.
-        u = np.where(tabulated, (d - self.lo) / ((self.hi - self.lo) / segments), 0.0)
-        seg = np.minimum(u.astype(np.intp), segments - 1)
-        t = 2.0 * (u - seg) - 1.0
-        t2 = 2.0 * t
+        u = d - self.lo
+        u /= (self.hi - self.lo) / segments
+        u[rest] = 0.0
+        seg = u.astype(np.intp)
+        np.minimum(seg, segments - 1, out=seg)
+        u -= seg
+        u *= 2.0
+        u -= 1.0
+        t, t2 = u, 2.0 * u
+        # Three complex buffers: b_{m+1}, b_{m+2} and one for the product and
+        # the gathered coefficients.  b_m = (2t b_{m+1} - b_{m+2}) + c_m is
+        # written over b_{m+2}, in the order the terms have always been added.
+        # seg is in range; take's default mode would copy through a temporary.
         coef = self.coef
-        b1 = coef[n - 1][seg]
+        b1 = coef[n - 1].take(seg, mode="clip")
         b2 = np.zeros_like(b1)
         work = np.empty_like(b1)
         for m in range(n - 2, 0, -1):
-            # b_m = c_m + 2t b_{m+1} - b_{m+2} in place; the three buffers rotate.
             np.multiply(t2, b1, out=work)
-            work -= b2
-            work += coef[m][seg]
-            b1, b2, work = work, b1, b2
-        out = coef[0][seg] + t * b1 - b2
-        rest = ~tabulated
+            np.subtract(work, b2, out=b2)
+            coef[m].take(seg, out=work, mode="clip")
+            b2 += work
+            b1, b2 = b2, b1
+        # out = (c_0 + t b_1) - b_2, in work.
+        np.multiply(t, b1, out=work)
+        coef[0].take(seg, out=b1, mode="clip")
+        work += b1
+        work -= b2
         if rest.any():
-            out[rest] = hankel1_0(self.k * d[rest])
-        return out
+            work[rest] = hankel1_0(self.k * d[rest])
+        return work
+
+
+# Orders of the addition-theorem sum in hankel1_0_table.  Its term of order
+# m is 2 H_m(k c) J_m(k e) for a node at offset e from its segment's centre
+# c, largest against H_0(k c) at the table's floor: there |k e| <=
+# _TABLE_SEGMENT / 2 = 0.025 and |k c| >= _TABLE_FLOOR + 0.025 = 0.425 bound
+# |e| / |c| by 1/17, the term is about 2 (|e| / |c|)^m / (pi m), and |H_0(k
+# c)| > 0.7 for a passive medium's k (arg k in [0, pi/4)).  The first
+# dropped term, m = 17, is below 1e-22.
+_GRAF_ORDERS = 16
 
 
 def hankel1_0_table(k, lo, hi):
     """Table of H_0^(1)(k d) for distances d in [lo, hi], lo raised to the floor.
 
     Segments are _TABLE_SEGMENT wide in |k| d, with first-kind Chebyshev
-    nodes from one hankel1_0 call and coefficients by a cosine transform.
+    nodes and coefficients by a cosine transform.  The node values come
+    from Graf's addition theorem in its collinear form (DLMF 10.23.7,
+    https://dlmf.nist.gov/10.23): for |e| < |c|,
+    H_0(k(c + e)) = H_0(k c) J_0(k e) + 2 sum_{m>=1} (-1)^m H_m(k c) J_m(k e),
+    so one hankel1_sequence over the segment centres c and one J batch
+    over the node offsets e, which every segment shares, give them all.
     The table has no segments (every distance exact) when the range is
     empty (hi below the floor), NaN or has |k| hi past MAX_ARGUMENT.
     """
@@ -402,10 +439,15 @@ def hankel1_0_table(k, lo, hi):
     segments = math.ceil(ak * (hi - lo) / _TABLE_SEGMENT)
     angles = np.pi * (np.arange(n) + 0.5) / n
     width = (hi - lo) / segments
-    nodes = lo + width * (np.arange(segments)[:, None] + 0.5 * (1.0 + np.cos(angles)))
+    centres = lo + width * (np.arange(segments) + 0.5)
+    # (orders, n): row m holds (-1)^m eps_m J_m(k e_i), eps_0 = 1, eps_m = 2.
+    block = _j_sequence(k * (0.5 * width) * np.cos(angles), _GRAF_ORDERS)
+    block[1::2] *= -2.0
+    block[2::2] *= 2.0
     transform = (2.0 / n) * np.cos(np.outer(angles, np.arange(n)))
     transform[:, 0] *= 0.5
-    coef = (hankel1_0(k * nodes) @ transform).T.copy()  # (n, segments)
+    # (n, segments): cosine transform of the node values, one row per order.
+    coef = (block @ transform).T @ hankel1_sequence(k * centres, _GRAF_ORDERS)
     return DistanceTable(k, lo, hi, coef)
 
 

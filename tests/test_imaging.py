@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -656,11 +657,11 @@ def test_one_table_per_map(monkeypatch, contaminated_fixture, paper_array, paper
 def test_table1_map_evaluates_each_below_floor_distance_once(monkeypatch, contaminated_fixture,
                                                             paper_array, paper_k, default_grid,
                                                             split):
-    # The first call evaluates the table's nodes.  Every later call is a
-    # chunk's below-floor distances, and together they hold each below-floor
-    # distance of the 5,151 representative points once, at the chunk budget
-    # and at half of it; the distance of the point on an antenna is replaced
-    # before the table sees it.
+    # The table's build makes one hankel1_sequence call, over its 430 segment
+    # centres.  Every hankel1_0 call is a chunk's below-floor distances, and
+    # together they hold each below-floor distance of the 5,151 representative
+    # points once, at the chunk budget and at half of it; the distance of the
+    # point on an antenna is replaced before the table sees it.
     orbits = imaging._orbits(default_grid, paper_array)
     table = imaging._hankel_table(orbits, paper_array, paper_k)
     i, j = orbits.representatives()
@@ -668,20 +669,54 @@ def test_table1_map_evaluates_each_below_floor_distance_once(monkeypatch, contam
     d = np.hypot(orbits.xs[i, None] - pos[:, 0], orbits.ys[j, None] - pos[:, 1])
     coincident = d <= em.COINCIDENCE_RTOL * paper_array.radius
     below = int(np.sum((d < table.lo) & ~coincident))
-    calls = []
-    exact = specfun.hankel1_0
+    calls, sequences = [], []
+    exact, sequence = specfun.hankel1_0, specfun.hankel1_sequence
 
     def counted(z):
         calls.append((np.size(z), np.abs(z).max()))
         return exact(z)
 
+    def counted_sequence(z, s_max):
+        sequences.append((np.size(z), s_max))
+        return sequence(z, s_max)
+
     monkeypatch.setattr(specfun, "hankel1_0", counted)
+    monkeypatch.setattr(specfun, "hankel1_sequence", counted_sequence)
     monkeypatch.setattr(imaging, "_CHUNK_DISTANCES", imaging._CHUNK_DISTANCES // split)
     imaging.image_diag(imaging.zero_diagonal(contaminated_fixture), default_grid, paper_array,
                        paper_k)
-    assert calls[0][0] == table.coef.size == 3440
-    assert all(top < specfun._TABLE_FLOOR for _, top in calls[1:])
-    assert sum(size for size, _ in calls[1:]) == below == 120
+    assert sequences[0] == (table.coef.shape[1], specfun._GRAF_ORDERS) == (430, 16)
+    assert all(s_max == 0 for _, s_max in sequences[1:])  # hankel1_0's own
+    assert all(top < specfun._TABLE_FLOOR for _, top in calls)
+    assert sum(size for size, _ in calls) == below == 120
+
+
+def _traced_peak(fn):
+    """The peak of tracemalloc's traced memory over one call of fn, in MiB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_table1_table_build_holds_no_node_batch(paper_array, paper_k, default_grid):
+    # Node values from the 430 segment centres by the addition theorem take
+    # 0.74 MiB; one Miller batch over the 3,440 nodes took 4.14 MiB.
+    orbits = imaging._orbits(default_grid, paper_array)
+    assert _traced_peak(lambda: imaging._hankel_table(orbits, paper_array, paper_k)) < 1.5
+
+
+def test_table1_map_memory(contaminated_fixture, paper_array, paper_k, default_grid):
+    # The Table-1 zero-diagonal map peaks at 3.03 MiB traced: the table and
+    # the sweep's two projection buffers, then one chunk's steering block and
+    # its in-place Clenshaw buffers.  A node batch, or two chunks' blocks
+    # held at once, took it to 4.21 MiB.
+    matrices = [imaging.zero_diagonal(contaminated_fixture)]
+    imaging.image(matrices, default_grid, paper_array, paper_k)
+    peak = _traced_peak(lambda: imaging.image(matrices, default_grid, paper_array, paper_k))
+    assert peak < 3.5
 
 
 def test_batched_maps_match_their_one_matrix_maps(monkeypatch, contaminated_fixture,

@@ -56,8 +56,10 @@ def test_h0_asymptotic_magnitude():
 
 
 @given(
-    near=st.complex_numbers(max_magnitude=25.0).filter(lambda z: abs(z) >= 1e-8
-                                                       and abs(z.imag) <= 5.0),
+    # The series branch as _split selects it: np.abs(z) <= 25.  Python's abs
+    # agrees, and puts 24.999199987199592+0.2j past 25 like np.abs does.
+    near=st.complex_numbers(max_magnitude=25.0).filter(
+        lambda z: 1e-8 <= np.abs(z) <= specfun._SERIES_CUTOFF and abs(z.imag) <= 5.0),
     batch=st.lists(st.builds(complex, st.floats(-1e3, 1e3), st.floats(-25.0, 25.0))
                    .filter(lambda z: 1e-8 <= abs(z) <= 1e3), min_size=1, max_size=6),
     m=st.sampled_from([0, 1, 7]),
@@ -73,6 +75,30 @@ def test_h0_compositional(near, batch, m):
     z = np.array(batch)
     assert hankel1_0(batch[0]) == specfun.hankel1_sequence(batch[0], m)[0]
     assert np.array_equal(hankel1_0(z), specfun.hankel1_sequence(z, m)[0])
+
+
+@given(far=st.builds(complex, st.floats(-1e3, 1e3), st.floats(-5.0, 5.0))
+       .filter(lambda z: specfun._SERIES_CUTOFF < np.abs(z) <= 1e3))
+@example(far=24.999199987199592 + 0.2j)  # |z| rounds to 25.000000000000004
+def test_h01_far_side_agrees_with_j_plus_iy(far):
+    # Above 25, H_0 and H_1 come from their own expansion, not from J + iY;
+    # the two agree to rounding (cancellation grows as e^(2 |Im z|)).
+    h = specfun.hankel1_sequence(far, 1)
+    for s in (0, 1):
+        ref = bessel_j(s, far) + 1j * bessel_y(s, far)
+        assert abs(h[s] - ref) <= 1e-10 * abs(h[s])
+
+
+@pytest.mark.parametrize("z", [5e-324, 1.5e-323, 2.5e-323, 4.4e-323])
+def test_y0_and_h0_at_subnormal_arguments(z):
+    # z / 2 rounds (or underflows, at 5e-324) for these subnormals; the
+    # logarithm must not take it.  Y_1 overflows here, and neither Y_0 nor
+    # H_0 may warn about it (warnings are errors).
+    with mpmath.workdps(30):
+        ref = float(mpmath.bessely(0, mpmath.mpf(z)))
+    for got in (bessel_y(0, z), hankel1_0(z).imag, bessel_y(0, np.array([z, 1.0]))[0]):
+        assert got.imag == 0.0 and abs(got.real - ref) <= 1e-10 * abs(ref)
+    assert hankel1_0(z).real == 1.0
 
 
 def test_h0_oracle():
@@ -230,11 +256,14 @@ _TABLE_KS = [em.wavenumber(_PAPER_MEDIUM).k, em.lossless_wavenumber(_PAPER_MEDIU
 
 @pytest.mark.parametrize("k", _TABLE_KS, ids=["lossy", "lossless"])
 def test_distance_table_matches_hankel1_0(k):
-    # |k| d from just below the exact floor to 40: both sides of the floor
-    # and of the |z| = 25 switch.
+    # |k| d from just below the exact floor to 400: both sides of the floor
+    # and of the |z| = 25 switch.  Past 25 the segment centres take the
+    # large-argument expansion, and the addition theorem's upward recurrence
+    # runs at large |z|.
     floor = specfun._TABLE_FLOOR
     edges = floor * np.array([1 - 1e-3, 1 - 1e-9, 1 + 1e-9, 1 + 1e-3])
-    kd = np.concatenate([edges, np.linspace(floor, 40.0, 40001), [24.999, 25.001]])
+    kd = np.concatenate([edges, np.linspace(floor, 40.0, 40001), [24.999, 25.001],
+                         np.linspace(40.0, 400.0, 36001)])
     d = kd / abs(k)
     got = specfun.hankel1_0_table(k, d.min(), d.max())(d)
     ref = hankel1_0(k * d)
@@ -272,6 +301,30 @@ def test_distance_table_exact_values(k):
     assert np.array_equal(table(np.concatenate([d[::997], below]))[-below.size:], alone)
     bare = specfun.DistanceTable(k, table.lo, table.hi, table.coef[:, :0])
     assert np.array_equal(bare(below), alone)
+
+
+def _clenshaw_reference(table, d):
+    """Clenshaw over each distance's segment, one new array per step."""
+    n, segments = table.coef.shape
+    u = (d - table.lo) / ((table.hi - table.lo) / segments)
+    seg = np.minimum(u.astype(np.intp), segments - 1)
+    t = 2.0 * (u - seg) - 1.0
+    b1 = table.coef[n - 1][seg]
+    b2 = np.zeros_like(b1)
+    for m in range(n - 2, 0, -1):
+        b1, b2 = 2.0 * t * b1 - b2 + table.coef[m][seg], b1
+    return table.coef[0][seg] + t * b1 - b2
+
+
+@pytest.mark.parametrize("k", _TABLE_KS, ids=["lossy", "lossless"])
+def test_distance_table_clenshaw_is_the_reference_bit_for_bit(k):
+    # The table's in-place recurrence adds the terms in the reference's
+    # order, so every value, alone or in a 2-D block, keeps its bits.
+    table = specfun.hankel1_0_table(k, 0.5 / abs(k), 30.0 / abs(k))
+    d = np.random.default_rng(7).uniform(table.lo, table.hi, (257, 16))
+    d[0, :3] = table.lo, table.hi, table.lo + (table.hi - table.lo) / 2
+    assert np.array_equal(table(d), _clenshaw_reference(table, d))
+    assert np.array_equal(table(d[:1, :1]), _clenshaw_reference(table, d[:1, :1]))
 
 
 def test_distance_table_keeps_exact_errors():
