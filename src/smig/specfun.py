@@ -35,19 +35,20 @@ as a 1-element batch and unwrapped):
     term bound (x/2)^S / S!.
   * Bulk H_0^(1)(k d) over many real distances d at one k, the imaging
     sweep: for fixed k the function is smooth in d away from d = 0, so a
-    piecewise Chebyshev table (hankel1_0_table), evaluated by Clenshaw
-    (DistanceTable), costs about a tenth of the exact path per distance.
-    Its node values come from Graf's addition theorem (DLMF 10.23.7): one
-    hankel1_sequence over the segment centres and one J batch over the
-    node offsets, which every segment shares.  The imaging sweep
-    builds one table per map over the grid's whole distance range and
-    reads it chunk by chunk.  Segments are 0.05 rad wide in |k| d,
-    degree 7.  Below |k| d = 0.4 the log singularity at d = 0 is too
-    close for the table and hankel1_0 is used; at that floor the first
+    piecewise power-basis table (hankel1_0_table), evaluated by Horner's
+    rule (DistanceTable), costs about a tenth of the exact path per
+    distance.  Its Chebyshev node values come from Graf's addition theorem
+    (DLMF 10.23.7): one hankel1_sequence over the segment centres and one
+    J batch over the node offsets, which every segment shares.  The
+    imaging sweep builds one table per map over the grid's whole distance
+    range and reads it chunk by chunk.  Segments are 0.05 rad wide in
+    |k| d, degree 7.  Below |k| d = 0.4 the log singularity at d = 0 is
+    too close for the table and hankel1_0 is used; at that floor the first
     segment's centre is 17 half-widths from the singularity.  hankel1_0
     remains the reference; the table agrees with it to about 1e-13 relative.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -87,26 +88,38 @@ class SeriesTruncation:
             raise DomainError("SeriesTruncation.abs_tol must be > 0, got %r" % (self.abs_tol,))
 
 
+def _term_bounds(x):
+    """(S, (x/2)^S / S!) for S = 1, 2, ...: bounds on |J_S(x)|, falling once below 1."""
+    bound = 1.0
+    for order in itertools.count(1):
+        bound *= (x / 2.0) / order
+        yield order, bound
+
+
 def covering_truncation(x):
     """The truncation of a Jacobi-Anger sum over arguments in [0, x].
 
-    max_order is the smallest order S >= 64 (the default) with
-    (x/2)^S / S! <= abs_tol, the default 1e-10.  That is a bound on
-    |J_S(x)|, and for abs_tol < 1 the bounds of the dropped orders fall
-    by the ratio x / (2 (S + 1)) < 1 per order.  An x that needs an order
-    past MAX_ORDER, or that is not finite, raises TruncationError.
+    max_order is the smallest order S >= 64 (the default) whose term bound
+    (x/2)^S / S! is <= abs_tol, the default 1e-10.  An x that needs an
+    order past MAX_ORDER, or that is not finite, raises TruncationError.
     """
     abs_tol = SeriesTruncation.abs_tol
-    bound = 1.0
-    order = 0
-    while not bound <= abs_tol or order < SeriesTruncation.max_order:
-        order += 1
+    for order, bound in _term_bounds(x):
         if order > MAX_ORDER:
             raise TruncationError(
                 "Jacobi-Anger sum at x = %.6g needs an order past %d for tolerance %g"
                 % (x, MAX_ORDER, abs_tol))
-        bound *= (x / 2.0) / order
-    return SeriesTruncation(order, abs_tol)
+        if bound <= abs_tol and order >= SeriesTruncation.max_order:
+            return SeriesTruncation(order, abs_tol)
+
+
+def check_truncation(trunc, x):
+    """TruncationError unless (x/2)^S / S! <= trunc.abs_tol at S = trunc.max_order, x = max x."""
+    x = float(np.max(x, initial=0.0))
+    bound = next(b for order, b in _term_bounds(x) if order == trunc.max_order)
+    if not bound <= trunc.abs_tol:
+        raise TruncationError("Jacobi-Anger sum at x = %.6g: order %d leaves a term bound %.3g > %g"
+                              % (x, trunc.max_order, bound, trunc.abs_tol))
 
 
 def _as_batch(z):
@@ -340,9 +353,9 @@ def hankel1_sequence(z, s_max):
 # Segment width in |k| d, radians.  With the floor below, the nearest
 # singularity (d = 0) sits 17 half-widths from the first segment's centre.
 _TABLE_SEGMENT = 0.05
-# Chebyshev degree per segment.  Measured against hankel1_0 over |k| d in
-# [0.4, 40] at lossy and lossless k: degree 7 stays at hankel1_0's own
-# ~1e-13 (8.5e-14 at the floor); degree 6 reaches 3.4e-12 at the floor.
+# Degree of each segment's interpolant.  Measured against hankel1_0 over
+# |k| d in [0.4, 40] at lossy and lossless k: degree 7 stays at hankel1_0's
+# own ~1e-13 (8.4e-14 at the floor); degree 6 reaches 3.4e-12 at the floor.
 _TABLE_DEGREE = 7
 # Below this |k| d the log singularity defeats the table; those distances
 # (a few per mille of an imaging grid) go to hankel1_0.
@@ -351,14 +364,14 @@ _TABLE_FLOOR = 0.4
 
 @dataclass(frozen=True, eq=False)
 class DistanceTable:
-    """H_0^(1)(k d) for real distances d: Chebyshev table on [lo, hi], exact values elsewhere.
+    """H_0^(1)(k d) for real distances d: polynomial table on [lo, hi], exact values elsewhere.
 
-    Built by hankel1_0_table.  coef holds one row per Chebyshev order and
-    one column per segment; a table with no segments (its range empty,
-    NaN or out of range) sends every distance to hankel1_0.  The distances
-    outside [lo, hi] (below the floor, d = 0, NaN) take their values from
-    one hankel1_0 call per call of the table, so hankel1_0's errors are
-    unchanged.
+    Built by hankel1_0_table.  coef holds one row per power of t, the
+    offset in a segment scaled to [-1, 1], and one column per segment; a
+    table with no segments (its range empty, NaN or out of range) sends
+    every distance to hankel1_0.  The distances outside [lo, hi] (below
+    the floor, d = 0, NaN) take their values from one hankel1_0 call per
+    call of the table, so hankel1_0's errors are unchanged.
     """
 
     k: complex
@@ -372,7 +385,7 @@ class DistanceTable:
         if not segments:
             return hankel1_0(self.k * d)
         rest = ~((d >= self.lo) & (d <= self.hi))
-        # Clenshaw over each distance's segment; the other distances are
+        # Horner over each distance's segment; the other distances are
         # evaluated at lo and overwritten with their exact values.
         u = d - self.lo
         u /= (self.hi - self.lo) / segments
@@ -382,29 +395,18 @@ class DistanceTable:
         u -= seg
         u *= 2.0
         u -= 1.0
-        t, t2 = u, 2.0 * u
-        # Three complex buffers: b_{m+1}, b_{m+2} and one for the product and
-        # the gathered coefficients.  b_m = (2t b_{m+1} - b_{m+2}) + c_m is
-        # written over b_{m+2}, in the order the terms have always been added.
+        # u is now t.  Two complex buffers: work takes acc t, then acc takes c_m and the sum.
         # seg is in range; take's default mode would copy through a temporary.
         coef = self.coef
-        b1 = coef[n - 1].take(seg, mode="clip")
-        b2 = np.zeros_like(b1)
-        work = np.empty_like(b1)
-        for m in range(n - 2, 0, -1):
-            np.multiply(t2, b1, out=work)
-            np.subtract(work, b2, out=b2)
-            coef[m].take(seg, out=work, mode="clip")
-            b2 += work
-            b1, b2 = b2, b1
-        # out = (c_0 + t b_1) - b_2, in work.
-        np.multiply(t, b1, out=work)
-        coef[0].take(seg, out=b1, mode="clip")
-        work += b1
-        work -= b2
+        acc = coef[n - 1].take(seg, mode="clip")
+        work = np.empty_like(acc)
+        for m in range(n - 2, -1, -1):
+            np.multiply(acc, u, out=work)
+            coef[m].take(seg, out=acc, mode="clip")
+            acc += work
         if rest.any():
-            work[rest] = hankel1_0(self.k * d[rest])
-        return work
+            acc[rest] = hankel1_0(self.k * d[rest])
+        return acc
 
 
 # Orders of the addition-theorem sum in hankel1_0_table.  Its term of order
@@ -420,10 +422,10 @@ _GRAF_ORDERS = 16
 def hankel1_0_table(k, lo, hi):
     """Table of H_0^(1)(k d) for distances d in [lo, hi], lo raised to the floor.
 
-    Segments are _TABLE_SEGMENT wide in |k| d, with first-kind Chebyshev
-    nodes and coefficients by a cosine transform.  The node values come
-    from Graf's addition theorem in its collinear form (DLMF 10.23.7,
-    https://dlmf.nist.gov/10.23): for |e| < |c|,
+    Segments are _TABLE_SEGMENT wide in |k| d; the inverse Vandermonde matrix at
+    the first-kind Chebyshev nodes takes node values to power-basis coefficients
+    in t in [-1, 1].  The node values come from Graf's addition theorem in its
+    collinear form (DLMF 10.23.7, https://dlmf.nist.gov/10.23): for |e| < |c|,
     H_0(k(c + e)) = H_0(k c) J_0(k e) + 2 sum_{m>=1} (-1)^m H_m(k c) J_m(k e),
     so one hankel1_sequence over the segment centres c and one J batch
     over the node offsets e, which every segment shares, give them all.
@@ -437,17 +439,16 @@ def hankel1_0_table(k, lo, hi):
     if not (lo < hi and ak * hi <= MAX_ARGUMENT):  # empty, NaN or out of range
         return DistanceTable(k, lo, hi, np.empty((n, 0), dtype=complex))
     segments = math.ceil(ak * (hi - lo) / _TABLE_SEGMENT)
-    angles = np.pi * (np.arange(n) + 0.5) / n
+    nodes = np.cos(np.pi * (np.arange(n) + 0.5) / n)
     width = (hi - lo) / segments
     centres = lo + width * (np.arange(segments) + 0.5)
     # (orders, n): row m holds (-1)^m eps_m J_m(k e_i), eps_0 = 1, eps_m = 2.
-    block = _j_sequence(k * (0.5 * width) * np.cos(angles), _GRAF_ORDERS)
+    block = _j_sequence(k * (0.5 * width) * nodes, _GRAF_ORDERS)
     block[1::2] *= -2.0
     block[2::2] *= 2.0
-    transform = (2.0 / n) * np.cos(np.outer(angles, np.arange(n)))
-    transform[:, 0] *= 0.5
-    # (n, segments): cosine transform of the node values, one row per order.
-    coef = (block @ transform).T @ hankel1_sequence(k * centres, _GRAF_ORDERS)
+    # (n, segments): power-basis coefficients, one row per power of t.
+    power = np.linalg.inv(np.vander(nodes, increasing=True))
+    coef = (power @ block.T) @ hankel1_sequence(k * centres, _GRAF_ORDERS)
     return DistanceTable(k, lo, hi, coef)
 
 

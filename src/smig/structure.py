@@ -24,7 +24,8 @@ em.plane_wave_many, which gives the ideal data and migration steering.
 Points are numpy arrays of shape (2,) for one point (x, y) in metres or
 (P, 2) for a batch of P points; the series functions return a float for
 one point and an array of shape (P,) for a batch, evaluated with one
-shared Bessel batch.
+shared Bessel batch.  A truncation short of their largest argument, k or
+2k max|r - r*|, raises TruncationError.
 """
 
 import math
@@ -91,6 +92,7 @@ def structure_full(r, array, k_real, r_star, config=StructureConfig()):
     r_star = np.asarray(r_star, float)
     _check_margin(r, array, k_real, r_star)
     g = _ring_average(k_real, array, r, r_star, config.trunc)
+    specfun.check_truncation(config.trunc, k_real * np.hypot(*(r.reshape(-1, 2) - r_star).T))
     return _unwrap(np.abs(g * g))
 
 
@@ -106,6 +108,7 @@ def structure_diag(r, array, k_real, r_star, config=StructureConfig()):
     n = array.count
     g = _ring_average(k_real, array, r, r_star, config.trunc)
     h = _ring_average(2.0 * k_real, array, r, r_star, config.trunc)
+    specfun.check_truncation(config.trunc, 2.0 * k_real * np.hypot(*(r.reshape(-1, 2) - r_star).T))
     return _unwrap(n / (n - 1) * np.abs(g * g - h / n))
 
 
@@ -135,18 +138,6 @@ def migration_response(s_matrix, array, k_real, points):
     return np.abs(np.sum((w @ s_matrix.entries) * w, axis=1))
 
 
-def _diag_identity(points, array, k_real, r_star, trunc):
-    """validate_diag_identity's deviation over (P, 2) points, and the series it compared."""
-    with warnings.catch_warnings():  # the series checks k_real first
-        warnings.simplefilter("ignore", ValidityMarginWarning)
-        series = structure_diag(points, array, k_real, r_star, StructureConfig(trunc=trunc))
-    n = array.count
-    e = np.exp(1j * k_real * ((points - r_star) @ array.directions.T))
-    total = np.sum(e, axis=1) ** 2 - np.sum(e * e, axis=1)
-    direct = np.abs(total / n) / (n - 1)
-    return float(np.max(np.abs(direct - series), initial=0.0)), series
-
-
 def validate_diag_identity(points, array, k_real, r_star, trunc=SeriesTruncation()):
     """Max deviation of the closed-form series from the brute-force double sum.
 
@@ -156,10 +147,9 @@ def validate_diag_identity(points, array, k_real, r_star, trunc=SeriesTruncation
 
     is computed directly from complex exponentials and compared with the
     series value; the maximum absolute difference over the points comes
-    back.
+    back.  It is validate's deviation.
     """
-    points = np.asarray(points, dtype=float).reshape(-1, 2)
-    return _diag_identity(points, array, k_real, np.asarray(r_star, dtype=float), trunc)[0]
+    return validate(points, array, k_real, r_star, trunc)[0]
 
 
 def validate(points, array, k_real, r_star, trunc=SeriesTruncation()):
@@ -167,14 +157,22 @@ def validate(points, array, k_real, r_star, trunc=SeriesTruncation()):
 
     deviation is validate_diag_identity's; ratio_spread is max - min of
     migration_response / series (tau_1 in exact arithmetic) on the ideal
-    zero-diagonal data of r_star, where the series exceeds 1e-9.  One
-    series pass serves both.
+    zero-diagonal data of r_star, where the series exceeds 1e-9, and 0.0
+    where it exceeds it nowhere.  One series pass serves both.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 2)
     r_star = np.asarray(r_star, dtype=float)
-    deviation, series = _diag_identity(points, array, k_real, r_star, trunc)
+    with warnings.catch_warnings():  # the series checks k_real first
+        warnings.simplefilter("ignore", ValidityMarginWarning)
+        series = structure_diag(points, array, k_real, r_star, StructureConfig(trunc=trunc))
     ideal = ideal_plane_wave_matrix(array, k_real, r_star, kind=KIND_ZERO_DIAGONAL)
     response = migration_response(ideal, array, k_real, points)
+    # The oracle last: its (P, N) arrays held over migration_response's cost page faults.
+    n = array.count
+    e = np.exp(1j * k_real * ((points - r_star) @ array.directions.T))
+    total = np.sum(e, axis=1) ** 2 - np.sum(e * e, axis=1)
+    direct = np.abs(total / n) / (n - 1)
+    deviation = float(np.max(np.abs(direct - series), initial=0.0))
     keep = series > 1e-9
     ratios = response[keep] / series[keep]
-    return deviation, float(ratios.max() - ratios.min())
+    return deviation, float(ratios.max() - ratios.min()) if ratios.size else 0.0

@@ -708,15 +708,29 @@ def test_table1_table_build_holds_no_node_batch(paper_array, paper_k, default_gr
     assert _traced_peak(lambda: imaging._hankel_table(orbits, paper_array, paper_k)) < 1.5
 
 
+def test_table1_table_call_memory(paper_array, paper_k, default_grid):
+    # One table call over the first Table-1 chunk (1,608 points, 25,728
+    # distances) holds its offset, index and range-mask arrays and two
+    # complex buffers: 1.33 MiB traced.  Clenshaw's third complex buffer
+    # and its 2t array took it to 1.92 MiB.
+    orbits = imaging._orbits(default_grid, paper_array)
+    table = imaging._hankel_table(orbits, paper_array, paper_k)
+    points = imaging.lattice(default_grid.x_axis(), default_grid.y_axis())[:1608]
+    d = np.hypot(points[:, 0, None] - paper_array.positions[:, 0],
+                 points[:, 1, None] - paper_array.positions[:, 1])
+    assert d.size == imaging._CHUNK_DISTANCES
+    assert _traced_peak(lambda: table(d)) < 1.6
+
+
 def test_table1_map_memory(contaminated_fixture, paper_array, paper_k, default_grid):
-    # The Table-1 zero-diagonal map peaks at 3.03 MiB traced: the table and
+    # The Table-1 zero-diagonal map peaks at 2.45 MiB traced: the table and
     # the sweep's two projection buffers, then one chunk's steering block and
-    # its in-place Clenshaw buffers.  A node batch, or two chunks' blocks
-    # held at once, took it to 4.21 MiB.
+    # its two Horner buffers.  Clenshaw's three buffers took it to 3.03 MiB;
+    # a node batch, or two chunks' blocks held at once, to 4.21 MiB.
     matrices = [imaging.zero_diagonal(contaminated_fixture)]
     imaging.image(matrices, default_grid, paper_array, paper_k)
     peak = _traced_peak(lambda: imaging.image(matrices, default_grid, paper_array, paper_k))
-    assert peak < 3.5
+    assert peak < 3.0
 
 
 def test_batched_maps_match_their_one_matrix_maps(monkeypatch, contaminated_fixture,

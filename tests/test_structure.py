@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smig import em, forward, imaging, specfun, structure
-from smig.errors import DomainError
+from smig.errors import DomainError, TruncationError
 from smig.specfun import SeriesTruncation, bessel_j
 from smig.structure import StructureConfig, ValidityMarginWarning
 
@@ -148,10 +148,44 @@ def test_validate_spread_matches_per_point_series(paper_array, k_real, r_star):
 
 
 def test_validate_identity_truncation_failure(paper_array, k_real, r_star):
+    # Five orders cannot carry the series to 2k|r - r*| = 20: the deviation
+    # they gave was above 1e-3, so the series refuse them.
     r = r_star + np.array([10.0 / k_real, 0.0])
-    dev = structure.validate_diag_identity([r], paper_array, k_real, r_star,
-                                           SeriesTruncation(5, 1e-10))
-    assert dev > 1e-3
+    with pytest.raises(TruncationError, match="order 5 leaves a term bound"):
+        structure.validate_diag_identity([r], paper_array, k_real, r_star,
+                                         SeriesTruncation(5, 1e-10))
+
+
+@pytest.mark.filterwarnings("ignore::smig.structure.ValidityMarginWarning")
+def test_series_refuse_a_truncation_short_of_their_tolerance(paper_array, r_star):
+    # At 3 GHz these points reach 2k|r - r*| = 64.1.  The default 64 orders
+    # left a deviation of 4.2e-6 from the double sum, against the promised
+    # 1e-10; covering_truncation's 106 orders leave 7.9e-16.  structure_full
+    # reaches only k|r - r*| = 32.1, where 64 orders bound the tail by 1.0e-12.
+    k = 3.0 * K_LOSSLESS
+    pts = np.array([(-0.06, -0.06), (0.05, -0.07)])
+    reach = 2.0 * k * np.hypot(*(pts - r_star).T).max()
+    assert 64.0 < reach < 64.2
+    tight = SeriesTruncation(64, 1e-300)
+    for trunc in (SeriesTruncation(), tight):
+        with pytest.raises(TruncationError):
+            structure.structure_diag(pts, paper_array, k, r_star, StructureConfig(trunc))
+        with pytest.raises(TruncationError):
+            structure.validate(pts, paper_array, k, r_star, trunc)
+        with pytest.raises(TruncationError):
+            structure.validate_diag_identity(pts, paper_array, k, r_star, trunc)
+    assert structure.structure_full(pts, paper_array, k, r_star).shape == (2,)
+    with pytest.raises(TruncationError):
+        structure.structure_full(pts, paper_array, k, r_star, StructureConfig(tight))
+    covering = specfun.covering_truncation(reach)
+    assert covering.max_order == 106
+    assert structure.validate_diag_identity(pts, paper_array, k, r_star, covering) <= 1e-10
+
+
+def test_validate_on_no_points(paper_array, k_real, r_star):
+    none = np.empty((0, 2))
+    assert structure.validate(none, paper_array, k_real, r_star) == (0.0, 0.0)
+    assert structure.validate_diag_identity(none, paper_array, k_real, r_star) == 0.0
 
 
 @settings(max_examples=100)
