@@ -20,7 +20,6 @@ import numpy as np
 from . import config as cfgmod
 from . import em, fileio, forward, imaging, structure
 from .errors import ConfigError, DataError, SmigError
-from .specfun import covering_truncation
 
 
 def _load_config(args):
@@ -121,10 +120,7 @@ def _cmd_validate(args):
     ys = np.linspace(g.y_min_m, g.y_max_m, 21)
     r_star = np.array([cfg.anomalies[0].center_x_m, cfg.anomalies[0].center_y_m])
     points = imaging.lattice(xs, ys)
-    # The series runs at k and 2k: its largest argument is 2k max|r - r*|.
-    reach = 2.0 * k_real * float(np.hypot(*(points - r_star).T).max())
-    deviation, ratio_spread = structure.validate(points, array, k_real, r_star,
-                                                 covering_truncation(reach))
+    deviation, ratio_spread = structure.validate(points, array, k_real, r_star)
     print("max_identity_deviation=%r ratio_spread=%r" % (deviation, ratio_spread))
     if deviation > 1e-8 or ratio_spread > 1e-6:
         print("error: structure: oracle deviation above tolerance", file=sys.stderr)

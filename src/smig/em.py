@@ -103,11 +103,11 @@ class AntennaArray:
 
 # Largest antenna count an array may have.  The N x N matrices and their SVD
 # grow as N^2 and N^3 (an imaging sweep chunk holds a fixed distance count).
-# At 1024 antennas (Table-1 scenario, 2-vCPU VM, one BLAS thread) `smig
-# spectrum` takes 0.61 s and peaks at 174 MiB RSS; `smig image --format pgm`
-# takes 0.9 s and 174 MiB (8-fold sweep); `smig simulate` takes 2.4 s, 2.0 s
-# of it in writing the three S-parameter files (one matrix row at a time), and
-# peaks at 114 MiB.
+# At 1024 antennas (Table-1 scenario, 2-vCPU AMD EPYC VM, one BLAS thread)
+# `smig spectrum` takes 0.55 s and peaks at 174 MiB RSS; `smig image --format
+# pgm` takes 0.7 s and 174 MiB (8-fold sweep); `smig simulate` takes 1.8 s,
+# 1.7 s of it in writing the three S-parameter files, and peaks at 262 MiB:
+# the writer holds every part's text until the file is written.
 MAX_ANTENNAS = 1024
 
 
@@ -161,7 +161,7 @@ def incident_field(d, r, k):
     return -0.25j * hankel1_0(k.k * dist)
 
 
-def incident_field_many(points, positions, k, table):
+def incident_field_many(points, positions, table):
     """Incident field from every antenna to every point, and the coincident points.
 
     Returns (fields, coincident): fields has shape (npts, N); coincident,
@@ -172,8 +172,8 @@ def incident_field_many(points, positions, k, table):
     placeholder values for the caller to drop or reject: its coincident
     distances are replaced by the call's largest, which keeps them off the
     singularity and inside the table's range.  H_0^(1)(k d) comes from
-    table, the specfun.DistanceTable for k.k that the imaging sweep builds
-    once per map; a table with no segments gives every distance exactly.
+    table, the specfun.DistanceTable (it carries k) that the imaging sweep
+    builds once per map; a table with no segments gives every distance exactly.
     """
     points = np.asarray(points, dtype=float)
     dist = points[:, 0, None] - positions[:, 0]

@@ -203,7 +203,7 @@ def _steering_block(points, array, k, steering, table):
     table (Hankel steering).
     """
     if steering == STEERING_HANKEL:
-        w, excluded = em.incident_field_many(points, array.positions, k, table=table)
+        w, excluded = em.incident_field_many(points, array.positions, table)
     elif steering == STEERING_PLANE_WAVE:
         w = em.plane_wave_many(points, array, k.k)
         excluded = np.zeros(points.shape[0], dtype=bool)

@@ -32,7 +32,7 @@ as a 1-element batch and unwrapped):
   * The truncated Jacobi-Anger sum J_0(x) + 2 sum i^s J_s(x) cos(s theta)
     is evaluated for a batch of points and angles from one Miller batch;
     covering_truncation picks the order S for arguments up to x from the
-    term bound (x/2)^S / S!.
+    term bound (x/2)^S / S!, or holds a given order to that bound.
   * Bulk H_0^(1)(k d) over many real distances d at one k, the imaging
     sweep: for fixed k the function is smooth in d away from d = 0, so a
     piecewise power-basis table (hankel1_0_table), evaluated by Horner's
@@ -96,13 +96,22 @@ def _term_bounds(x):
         yield order, bound
 
 
-def covering_truncation(x):
-    """The truncation of a Jacobi-Anger sum over arguments in [0, x].
+def covering_truncation(x, trunc=None):
+    """The truncation of a Jacobi-Anger sum over arguments up to max(x).
 
-    max_order is the smallest order S >= 64 (the default) whose term bound
-    (x/2)^S / S! is <= abs_tol, the default 1e-10.  An x that needs an
-    order past MAX_ORDER, or that is not finite, raises TruncationError.
+    A given trunc comes back if the term bound (x/2)^S / S! at its order S
+    is <= its abs_tol, else TruncationError.  With none, max_order is the
+    smallest S >= 64 (the default) whose bound is <= abs_tol, the default
+    1e-10; an x that needs an order past MAX_ORDER, or is not finite, raises.
     """
+    x = float(np.max(x, initial=0.0))
+    if trunc is not None:
+        bound = next(b for order, b in _term_bounds(x) if order == trunc.max_order)
+        if not bound <= trunc.abs_tol:
+            raise TruncationError(
+                "Jacobi-Anger sum at x = %.6g: order %d leaves a term bound %.3g > %g"
+                % (x, trunc.max_order, bound, trunc.abs_tol))
+        return trunc
     abs_tol = SeriesTruncation.abs_tol
     for order, bound in _term_bounds(x):
         if order > MAX_ORDER:
@@ -111,15 +120,6 @@ def covering_truncation(x):
                 % (x, MAX_ORDER, abs_tol))
         if bound <= abs_tol and order >= SeriesTruncation.max_order:
             return SeriesTruncation(order, abs_tol)
-
-
-def check_truncation(trunc, x):
-    """TruncationError unless (x/2)^S / S! <= trunc.abs_tol at S = trunc.max_order, x = max x."""
-    x = float(np.max(x, initial=0.0))
-    bound = next(b for order, b in _term_bounds(x) if order == trunc.max_order)
-    if not bound <= trunc.abs_tol:
-        raise TruncationError("Jacobi-Anger sum at x = %.6g: order %d leaves a term bound %.3g > %g"
-                              % (x, trunc.max_order, bound, trunc.abs_tol))
 
 
 def _as_batch(z):

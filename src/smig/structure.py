@@ -24,8 +24,8 @@ em.plane_wave_many, which gives the ideal data and migration steering.
 Points are numpy arrays of shape (2,) for one point (x, y) in metres or
 (P, 2) for a batch of P points; the series functions return a float for
 one point and an array of shape (P,) for a batch, evaluated with one
-shared Bessel batch.  A truncation short of their largest argument, k or
-2k max|r - r*|, raises TruncationError.
+shared Bessel batch.  With no truncation they size one to their largest
+argument, k or 2k max|r - r*|; a given one short of it raises TruncationError.
 """
 
 import math
@@ -37,7 +37,6 @@ import numpy as np
 from . import em, specfun
 from .errors import DomainError
 from .forward import KIND_FULL, KIND_ZERO_DIAGONAL, ScatteringMatrix
-from .specfun import SeriesTruncation
 
 
 class ValidityMarginWarning(UserWarning):
@@ -46,9 +45,9 @@ class ValidityMarginWarning(UserWarning):
 
 @dataclass(frozen=True)
 class StructureConfig:
-    """Series truncation of the closed-form maps."""
+    """Series truncation of the closed-form maps; None sizes it to the series' reach."""
 
-    trunc: SeriesTruncation = SeriesTruncation()
+    trunc: specfun.SeriesTruncation | None = None
 
 
 def _ring_average(k_real, array, r, r_center, trunc):
@@ -69,14 +68,22 @@ def _check_margin(r, array, k_real, r_star):
     if not 0 < k_real < math.inf:
         raise DomainError("structure series need a wavenumber 0 < k < inf, got %r" % (k_real,))
     margin = 10.0 * 0.25 / k_real
-    points = np.concatenate([r.reshape(-1, 2), r_star.reshape(1, 2)])
+    points = np.concatenate([np.reshape(r, (-1, 2)), np.reshape(r_star, (1, 2))])
     gap = points - array.positions[array.nearest(points)]
     if np.hypot(gap[:, 0], gap[:, 1]).min() < margin:
         warnings.warn(
             "point within %.4g m of an antenna; far-field structure may degrade" % margin,
             ValidityMarginWarning,
-            stacklevel=3,
+            stacklevel=4,  # past _prologue and the series to their caller
         )
+
+
+def _prologue(r, array, k_real, r_star, config, factor):
+    """The margin checked, the truncation of a series at factor * k for its
+    largest argument factor * k max|r - r*|; r and r_star may be sequences."""
+    _check_margin(r, array, k_real, r_star)
+    reach = factor * k_real * np.hypot(*(np.reshape(r, (-1, 2)) - r_star).T)
+    return specfun.covering_truncation(reach, config.trunc)
 
 
 def _unwrap(values):
@@ -88,11 +95,8 @@ def structure_full(r, array, k_real, r_star, config=StructureConfig()):
 
     r is one point (2,), giving a float, or a batch (P, 2), giving (P,).
     """
-    r = np.asarray(r, float)
-    r_star = np.asarray(r_star, float)
-    _check_margin(r, array, k_real, r_star)
-    g = _ring_average(k_real, array, r, r_star, config.trunc)
-    specfun.check_truncation(config.trunc, k_real * np.hypot(*(r.reshape(-1, 2) - r_star).T))
+    trunc = _prologue(r, array, k_real, r_star, config, 1.0)
+    g = _ring_average(k_real, array, r, r_star, trunc)
     return _unwrap(np.abs(g * g))
 
 
@@ -102,13 +106,10 @@ def structure_diag(r, array, k_real, r_star, config=StructureConfig()):
     This is not the first-pair map of that data, which is structure_full.
     r is one point (2,), giving a float, or a batch (P, 2), giving (P,).
     """
-    r = np.asarray(r, float)
-    r_star = np.asarray(r_star, float)
-    _check_margin(r, array, k_real, r_star)
+    trunc = _prologue(r, array, k_real, r_star, config, 2.0)
     n = array.count
-    g = _ring_average(k_real, array, r, r_star, config.trunc)
-    h = _ring_average(2.0 * k_real, array, r, r_star, config.trunc)
-    specfun.check_truncation(config.trunc, 2.0 * k_real * np.hypot(*(r.reshape(-1, 2) - r_star).T))
+    g = _ring_average(k_real, array, r, r_star, trunc)
+    h = _ring_average(2.0 * k_real, array, r, r_star, trunc)
     return _unwrap(n / (n - 1) * np.abs(g * g - h / n))
 
 
@@ -138,7 +139,7 @@ def migration_response(s_matrix, array, k_real, points):
     return np.abs(np.sum((w @ s_matrix.entries) * w, axis=1))
 
 
-def validate_diag_identity(points, array, k_real, r_star, trunc=SeriesTruncation()):
+def validate_diag_identity(points, array, k_real, r_star, trunc=None):
     """Max deviation of the closed-form series from the brute-force double sum.
 
     For each point the oracle value
@@ -152,7 +153,7 @@ def validate_diag_identity(points, array, k_real, r_star, trunc=SeriesTruncation
     return validate(points, array, k_real, r_star, trunc)[0]
 
 
-def validate(points, array, k_real, r_star, trunc=SeriesTruncation()):
+def validate(points, array, k_real, r_star, trunc=None):
     """(deviation, ratio_spread) of the diagonal-free series over (P, 2) points.
 
     deviation is validate_diag_identity's; ratio_spread is max - min of

@@ -4,7 +4,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from smig import config as cfgmod
-from smig import fileio, forward, structure
+from smig import em, fileio, forward, imaging, structure
 from smig.cli import build_parser, main
 
 FAST = [
@@ -68,6 +68,24 @@ def test_validate_truncation_covers_the_grid(capsys, overrides):
     out = capsys.readouterr().out
     assert rc == 0
     assert float(out.split("max_identity_deviation=")[1].split()[0]) <= 1e-12
+
+
+@pytest.mark.parametrize("overrides", [[], ["medium.frequency_hz=3e9"]])
+def test_validate_prints_the_library_validation(capsys, overrides):
+    # smig validate adds no rule of its own: it prints structure.validate of
+    # its 21 x 21 lattice, which sizes the series order itself.
+    argv = ["validate"]
+    for pair in overrides:
+        argv += ["--override", pair]
+    assert main(argv) == 0
+    cfg = cfgmod.apply_overrides(cfgmod.RunConfig(), overrides)
+    g = cfg.grid
+    lattice = imaging.lattice(np.linspace(g.x_min_m, g.x_max_m, 21),
+                              np.linspace(g.y_min_m, g.y_max_m, 21))
+    k_real = em.lossless_wavenumber(cfgmod.build_medium(cfg)).k.real
+    r_star = np.array([cfg.anomalies[0].center_x_m, cfg.anomalies[0].center_y_m])
+    expected = structure.validate(lattice, cfgmod.build_array(cfg), k_real, r_star)
+    assert capsys.readouterr().out == "max_identity_deviation=%r ratio_spread=%r\n" % expected
 
 
 def test_validate_past_max_order_is_one_line_error(capsys):

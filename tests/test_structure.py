@@ -182,6 +182,44 @@ def test_series_refuse_a_truncation_short_of_their_tolerance(paper_array, r_star
     assert structure.validate_diag_identity(pts, paper_array, k, r_star, covering) <= 1e-10
 
 
+@pytest.mark.filterwarnings("ignore::smig.structure.ValidityMarginWarning")
+@pytest.mark.parametrize("factor", [3.0, 6.0])
+def test_series_size_their_own_truncation(paper_array, r_star, factor):
+    # Given no truncation, each series takes covering_truncation at its own
+    # reach: at 6 GHz these points reach k|r - r*| = 64.1 and 2k|r - r*| =
+    # 128.2, where the default 64 orders fall short of 1e-10.
+    k = factor * K_LOSSLESS
+    pts = np.array([(-0.06, -0.06), (0.05, -0.07)])
+    n = paper_array.count
+    e = np.exp(1j * k * ((pts - r_star) @ paper_array.directions.T))
+    g = np.mean(e, axis=1)
+    double_sum = np.abs(np.sum(e, axis=1) ** 2 - np.sum(e * e, axis=1)) / (n * (n - 1))
+    full = structure.structure_full(pts, paper_array, k, r_star)
+    assert np.abs(full - np.abs(g * g)).max() <= 1e-10
+    assert np.abs(structure.structure_diag(pts, paper_array, k, r_star) - double_sum).max() <= 1e-10
+    assert structure.validate(pts, paper_array, k, r_star)[0] <= 1e-10
+
+
+@pytest.mark.filterwarnings("ignore::smig.structure.ValidityMarginWarning")
+@pytest.mark.parametrize("count, factor", [(3, 1.0), (5, 1.0), (16, 1.0), (64, 1.0),
+                                           (16, 2.0), (16, 3.0)])
+def test_first_pair_map_of_ideal_zero_diagonal_data_is_structure_full(r_star, count, factor):
+    # The ideal zero-diagonal matrix is D(11^T - I)D/N with D = diag(v): its
+    # first pair is v/sqrt(N) and conj(v)/sqrt(N), so the sweep's map is |g^2|.
+    # N = 2 is left out: there tau_1 = tau_2 = 1/2, no first pair is
+    # singled out, and the map deviates from |g^2| by 0.50.
+    array = em.antenna_array(count, 0.09)
+    k = factor * K_LOSSLESS
+    ideal = structure.ideal_plane_wave_matrix(array, k, r_star, kind=forward.KIND_ZERO_DIAGONAL,
+                                              frequency_hz=factor * 1e9)
+    grid = imaging.ImagingGrid(-0.1, 0.1, -0.1, 0.1, 0.01)
+    [image] = imaging.image([ideal], grid, array, em.ComplexWavenumber(complex(k)),
+                            steering=imaging.STEERING_PLANE_WAVE)
+    series = structure.structure_full(imaging.lattice(grid.x_axis(), grid.y_axis()), array, k,
+                                      r_star)
+    assert np.abs(image.values.ravel() - series).max() <= 1e-13 * series.max()
+
+
 def test_validate_on_no_points(paper_array, k_real, r_star):
     none = np.empty((0, 2))
     assert structure.validate(none, paper_array, k_real, r_star) == (0.0, 0.0)
@@ -280,9 +318,12 @@ def test_image_diag_on_ideal_data_peaks_at_one(paper_array, k_real, r_star):
 
 
 def test_validity_margin_warning(paper_array, k_real, r_star):
+    # Each series warns once, at its caller's line.
     near_antenna = paper_array.positions[0] + np.array([0.003, 0.0])
-    with pytest.warns(ValidityMarginWarning):
-        structure.structure_diag(near_antenna, paper_array, k_real, r_star)
+    for series in (structure.structure_full, structure.structure_diag):
+        with pytest.warns(ValidityMarginWarning) as caught:
+            series(near_antenna, paper_array, k_real, r_star)
+        assert [w.filename for w in caught] == [__file__]
 
 
 @settings(max_examples=200, deadline=None)
